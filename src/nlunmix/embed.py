@@ -15,6 +15,9 @@ import scipy.linalg
 import scipy.sparse
 
 GRAM_REG = 1e-9
+# Most squared distances the neighbor search holds at once (float64, 8 MB);
+# rows are searched in blocks of KNN_BLOCK_ENTRIES // N.
+KNN_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -123,23 +126,54 @@ def pca_basis(Yc: np.ndarray, D: int) -> PcaBasis:
     return PcaBasis(basis=evecs[:, :D], eigenvalues=evals[:D], residual_variance=residual)
 
 
+def _nearest_neighbors(Y: np.ndarray, K: int) -> np.ndarray:
+    """Exact K nearest neighbors of every row of Y, searched in row blocks.
+
+    Each block's squared distances are ||y_i||^2 + ||y_j||^2 - 2 y_i.y_j
+    against all N rows; ``argpartition`` keeps K candidates, ordered by
+    (distance, index).  A row where more or fewer than K entries lie at or
+    below its K-th distance (a tie at the boundary, or a NaN) is instead
+    stable-sorted in full, so ties always go to the lower index.
+    """
+    n = Y.shape[0]
+    sq = np.sum(Y**2, axis=1)
+    step = max(1, KNN_BLOCK_ENTRIES // n)
+    neighbors = np.empty((n, K), np.int64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # same terms in the same order as the dense matrix, so rounding (and
+        # with it every near-tie) comes out as it did there
+        d2 = sq[start:stop, None] + sq[None, :]
+        d2 -= 2.0 * (Y[start:stop] @ Y.T)
+        local = np.arange(stop - start)
+        d2[local, start + local] = np.inf
+        kept = np.argpartition(d2, K - 1, axis=1)[:, :K]
+        dist = np.take_along_axis(d2, kept, axis=1)  # K-th distance last
+        kth = dist[:, -1:]
+        kept = np.take_along_axis(kept, np.lexsort((kept, dist)), axis=1)
+        for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != K):
+            kept[r] = np.argsort(d2[r], kind="stable")[:K]
+        neighbors[start:stop] = kept
+    return neighbors
+
+
 def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
     """Neighbor sets and local reconstruction weights for every pixel.
 
-    Neighbors are the K nearest points in Euclidean distance (self excluded,
-    ties broken toward the lower index).  Per row the weights solve the K x K
-    normal equations of min ||y_i - sum_j w_j y_j||^2; a singular local Gram
-    matrix is ridged by 1e-9 * trace before solving.
+    Neighbors are the exact K nearest points in Euclidean distance (self
+    excluded, ties broken toward the lower index).  They are searched in
+    blocks of rows against all N pixels, so memory is O(block * N), with
+    max(N, ``KNN_BLOCK_ENTRIES``) distances per block, never O(N^2); the
+    neighbors are those of a full stable sort of the dense distance matrix.
+    Per row the weights solve the K x K normal equations of
+    min ||y_i - sum_j w_j y_j||^2; a singular local Gram matrix is ridged by
+    1e-9 * trace before solving.
     """
     Y = np.asarray(Y, float)
     n = Y.shape[0]
     if K < 1 or K >= n:
         raise ValueError("need 1 <= K < N")
-    sq = np.sum(Y**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort keeps lower indices first among ties
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :K]
+    neighbors = _nearest_neighbors(Y, K)
     weights = np.empty((n, K))
     for i in range(n):
         Z = Y[neighbors[i]]  # K x L

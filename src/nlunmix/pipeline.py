@@ -19,6 +19,7 @@ from .embed import init_latents, lle_weights, pca_basis
 from .gpregress import GpPredictor, extract_endmembers
 from .metrics import align_columns, are, rnmse, sam
 from .model import (
+    FitReport,
     LatentState,
     ModelContext,
     feature_dim,
@@ -85,6 +86,10 @@ class Report:
     llgplvm_are: float
     seed: int
     plot_data: dict = field(repr=False, default_factory=dict)
+    # wall clock of the stages both methods share: gen, center, reduce
+    prep_wall_clock: float | None = None
+    # termination info of the latent fit (None when fcll_gplvm did not run)
+    fit: FitReport | None = None
 
 
 def parse_config(text: str) -> tuple[ExperimentConfig, str]:
@@ -162,6 +167,7 @@ def run_pipeline(config: ExperimentConfig) -> Report:
     R = recipe.R
     k = config.k or R
 
+    t0 = time.perf_counter()
     with _stage("gen"):
         scene = generate_scene(recipe)
         Y = scene.image.pixels
@@ -179,10 +185,12 @@ def run_pipeline(config: ExperimentConfig) -> Report:
         basis_rm1 = pbar.basis[:, : R - 1]
         pca_recon = (Yc @ basis_rm1) @ basis_rm1.T + mean
         pca_are = are(Y, pca_recon)
+    prep_wall_clock = time.perf_counter() - t0
 
     results: dict[str, MethodResult] = {}
     plot_data: dict = {"pca_scores": Yc @ basis_rm1}
     llgplvm_are = np.nan
+    fit_report = None
 
     if "fcll_gplvm" in config.methods:
         t0 = time.perf_counter()
@@ -249,6 +257,8 @@ def run_pipeline(config: ExperimentConfig) -> Report:
         llgplvm_are=float(llgplvm_are),
         seed=recipe.seed,
         plot_data=plot_data,
+        prep_wall_clock=prep_wall_clock,
+        fit=fit_report,
     )
 
 
@@ -287,7 +297,11 @@ def report_csv(report: Report, include_timing: bool = False) -> str:
 
 
 def timing_csv(report: Report) -> str:
+    """One wall-clock row per method, after a ``prep`` row for the shared
+    gen, center and reduce stages when the report measured them."""
     lines = ["method,wall_clock_s"]
+    if report.prep_wall_clock is not None:
+        lines.append(f"prep,{report.prep_wall_clock:.3f}")
     for name in sorted(report.methods):
         lines.append(f"{name},{report.methods[name].wall_clock:.3f}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
 """Tests for the PCA basis, LLE weights, and latent initialization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nlunmix import embed
 from nlunmix.embed import init_latents, lle_weights, pca_basis
 
 
@@ -119,6 +122,63 @@ class TestLleWeights:
         Y = np.array([[1.0, 1.0]] * 4 + [[9.0, 9.0]])
         w = lle_weights(Y, K=3)
         assert np.all(np.isfinite(w.weights))
+
+
+def _dense_neighbors(Y, K):
+    """Brute-force reference: the full distance matrix, stable-sorted per row."""
+    sq = np.sum(Y**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Y @ Y.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :K], d2
+
+
+class TestBlockedNeighborSearch:
+    @staticmethod
+    def _lattice():
+        # a 4 x 4 integer grid plus seven duplicated pixels, shuffled: every
+        # distance is exact and most rows have equidistant candidates
+        grid = np.array([[x, y, 0.0] for x in range(4) for y in range(4)])
+        Y = np.vstack([grid, grid[[0, 5, 5, 10, 15, 3, 12]]])
+        return Y[np.random.default_rng(0).permutation(len(Y))]
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [1, 5])
+    def test_ties_across_blocks_match_dense_sort(self, monkeypatch, K, step):
+        Y = self._lattice()
+        n = len(Y)  # 23 rows; blocks of 5 leave a short last block of 3
+        ref, d2 = _dense_neighbors(Y, K)
+        single = lle_weights(Y, K)  # N is far below one block's capacity
+        monkeypatch.setattr(embed, "KNN_BLOCK_ENTRIES", step * n)
+        blocked = lle_weights(Y, K)
+
+        # the fixture has rows whose tied candidates at the K-th distance
+        # lie in different column blocks, on both sides of a block edge
+        kth = np.sort(d2, axis=1)[:, K - 1:K]
+        tied = [np.flatnonzero(row <= t) for row, t in zip(d2, kth) if np.sum(row <= t) > K]
+        assert any(np.unique(cols // step).size > 1 for cols in tied)
+
+        assert np.array_equal(single.neighbors, ref)
+        assert np.array_equal(blocked.neighbors, ref)
+        assert np.array_equal(blocked.weights, single.weights)
+
+    def test_random_data_matches_dense_sort(self, monkeypatch):
+        Y = np.random.default_rng(10).normal(size=(97, 6))
+        Y[40] = Y[3]
+        Y[90] = Y[3]
+        monkeypatch.setattr(embed, "KNN_BLOCK_ENTRIES", 11 * len(Y))
+        assert np.array_equal(lle_weights(Y, 4).neighbors, _dense_neighbors(Y, 4)[0])
+
+    def test_memory_stays_below_dense_matrix(self):
+        # one 4000 x 4000 float64 matrix is 128 MB; the blocked search holds
+        # a few blocks of at most KNN_BLOCK_ENTRIES distances at a time
+        Y = np.random.default_rng(11).normal(size=(4000, 8))
+        tracemalloc.start()
+        try:
+            lle_weights(Y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestInitLatents:

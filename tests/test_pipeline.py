@@ -110,6 +110,24 @@ class TestRunPipeline:
         kinds = {line.split(",")[0] for line in plot[1:]}
         assert kinds == {"pca_scores", "latents", "vertices"}
 
+    def test_timing_has_prep_row(self):
+        report = run_pipeline(small_config(n=80, l=16))
+        rows = [line.split(",") for line in timing_csv(report).strip().split("\n")]
+        assert rows[0] == ["method", "wall_clock_s"]
+        assert [r[0] for r in rows[1:]] == ["prep", "fcll_gplvm", "vca_fcls"]
+        assert float(rows[1][1]) == round(report.prep_wall_clock, 3)
+        assert report.prep_wall_clock > 0
+        assert "prep" not in report_csv(report)
+
+    def test_fit_report_kept(self):
+        cfg = small_config(n=80, l=16)
+        report = run_pipeline(cfg)
+        assert 1 <= report.fit.iterations <= cfg.max_iter
+        assert isinstance(report.fit.converged, bool)
+        assert np.isfinite(report.fit.grad_norm)
+        assert np.array_equal(report.fit.trace, report.plot_data["fit_trace"])
+        assert run_pipeline(small_config(methods=("vca_fcls",))).fit is None
+
     def test_stage_tagged_errors(self):
         # an infeasible neighbor count breaks the reduce stage
         bad = ExperimentConfig(
