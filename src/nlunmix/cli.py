@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Each subcommand reads a stage directory and writes the next one, so the
-pipeline can be driven end to end or stage by stage.  Matrices travel in
-the package's binary format (see core.save_matrix); recipes and stage
-metadata are flat key=value text files.
+pipeline can be driven end to end or stage by stage.  The computation of
+each unmixing stage is the stage function in ``pipeline`` that
+``run_pipeline`` also calls; this module only knows the directory format.
+Matrices travel in the package's binary format (see core.save_matrix);
+recipes and stage metadata are flat key=value text files.
 """
 from __future__ import annotations
 
@@ -17,19 +19,19 @@ import numpy as np
 from . import pipeline as pl
 from .baselines import fcls, vca
 from .core import HyperImage, center, load_matrix, save_matrix
-from .embed import LleWeights, PcaBasis, init_latents, lle_weights, pca_basis
-from .gpregress import GpPredictor, confidence95, extract_endmembers
-from .model import (
-    LatentState,
-    ModelContext,
-    feature_dim,
-    initial_state,
-    latent_noise_scale,
-    map_P,
-    scg_optimize,
-)
-from .scaling import constrained_latents, fit_min_volume_simplex
+from .embed import LleWeights, PcaBasis
+from .gpregress import confidence95
+from .model import LatentState
 from .scene import SceneRecipe, gamma_matrix, generate_scene
+
+# unused here; bench/spans.py patches these names in this module as well
+from .embed import init_latents, lle_weights, pca_basis  # noqa: F401
+from .gpregress import GpPredictor, extract_endmembers  # noqa: F401
+from .model import latent_noise_scale, map_P, scg_optimize  # noqa: F401
+from .scaling import fit_min_volume_simplex  # noqa: F401
+
+# the reduce stage's context, which fit and scale copy forward
+_CONTEXT_FILES = ("yc.nlm", "pbar.nlm", "eigenvalues.nlm", "mean.nlm")
 
 
 def _write_kv(path: Path, values: dict) -> None:
@@ -39,14 +41,20 @@ def _write_kv(path: Path, values: dict) -> None:
 
 
 def _read_kv(path: Path) -> dict:
-    out = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, _, v = line.partition("=")
-        out[k.strip()] = v.strip()
-    return out
+    return pl.parse_kv(path.read_text())
+
+
+def _dirs(args) -> tuple[Path, Path]:
+    """The stage's input directory and its output directory, created."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return Path(args.indir), out
+
+
+def _carry(indir: Path, out: Path, names) -> None:
+    """Copy files forward so later stages are self-contained."""
+    for name in names:
+        (out / name).write_bytes((indir / name).read_bytes())
 
 
 def _recipe_to_kv(recipe: SceneRecipe) -> dict:
@@ -119,9 +127,7 @@ def _load_lambda_csv(path: Path, n: int, k: int) -> LleWeights:
 
 
 def cmd_reduce(args) -> None:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    indir, out = _dirs(args)
     pixels = load_matrix(indir / "image.nlm")
     recipe_path = indir / "recipe.txt"
     if args.r is not None:
@@ -131,12 +137,8 @@ def cmd_reduce(args) -> None:
     else:
         raise ValueError("pass --r when the input has no recipe.txt")
     k = args.k if args.k is not None else R
-    img = HyperImage(pixels)
-    centered, mean = center(img)
-    D = feature_dim(R)
-    pbar = pca_basis(centered.pixels, D)
-    lle = lle_weights(centered.pixels, K=k)
-    x0 = init_latents(centered.pixels, pbar.basis[:, : R - 1])
+    centered, mean = center(HyperImage(pixels))
+    pbar, lle, x0 = pl.reduce_stage(centered.pixels, R, k)
     save_matrix(pbar.basis, out / "pbar.nlm")
     save_matrix(pbar.eigenvalues.reshape(-1, 1), out / "eigenvalues.nlm")
     save_matrix(centered.pixels, out / "yc.nlm")
@@ -154,33 +156,29 @@ def cmd_reduce(args) -> None:
     print(f"wrote basis, weights, and starting latents to {out}")
 
 
-def _load_init_dir(indir: Path):
-    meta = _read_kv(indir / "meta.txt")
-    R, k = int(meta["r"]), int(meta["k"])
-    Yc = load_matrix(indir / "yc.nlm")
-    basis = load_matrix(indir / "pbar.nlm")
-    evals = load_matrix(indir / "eigenvalues.nlm").ravel()
-    pbar = PcaBasis(
-        basis=basis,
-        eigenvalues=evals,
-        residual_variance=float(meta["residual_variance"]),
+def _load_state(indir: Path, x_name: str) -> LatentState:
+    return LatentState(
+        X=load_matrix(indir / x_name),
+        U=load_matrix(indir / "uhat.nlm"),
+        s2=float(load_matrix(indir / "s2.nlm")[0, 0]),
+        sigma2=float(load_matrix(indir / "sigma2.nlm")[0, 0]),
     )
-    lle = _load_lambda_csv(indir / "lambda.csv", Yc.shape[0], k)
-    mean = load_matrix(indir / "mean.nlm").ravel()
-    return meta, R, Yc, pbar, lle, mean
 
 
 def cmd_fit(args) -> None:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta, R, Yc, pbar, lle, mean = _load_init_dir(indir)
-    x0 = load_matrix(indir / "x0.nlm")
-    ctx = ModelContext(Yc=Yc, pbar=pbar, lle=lle, gamma=args.gamma)
-    state, report = scg_optimize(
-        initial_state(ctx, x0), ctx, max_iter=args.max_iter, tol=args.tol
+    indir, out = _dirs(args)
+    meta = _read_kv(indir / "meta.txt")
+    Yc = load_matrix(indir / "yc.nlm")
+    pbar = PcaBasis(
+        basis=load_matrix(indir / "pbar.nlm"),
+        eigenvalues=load_matrix(indir / "eigenvalues.nlm").ravel(),
+        residual_variance=float(meta["residual_variance"]),
     )
-    phat = map_P(state, ctx)
+    lle = _load_lambda_csv(indir / "lambda.csv", Yc.shape[0], int(meta["k"]))
+    state, report, phat = pl.fit_stage(
+        Yc, pbar, lle, load_matrix(indir / "x0.nlm"),
+        gamma=args.gamma, max_iter=args.max_iter, tol=args.tol,
+    )
     save_matrix(state.X, out / "xhat.nlm")
     save_matrix(state.U, out / "uhat.nlm")
     save_matrix(np.array([[state.s2]]), out / "s2.nlm")
@@ -190,9 +188,7 @@ def cmd_fit(args) -> None:
         fh.write("iteration,neg_log_posterior\n")
         for i, v in enumerate(report.trace):
             fh.write(f"{i},{format(v, '.17g')}\n")
-    # carry the context forward so later stages are self-contained
-    for name in ("yc.nlm", "pbar.nlm", "eigenvalues.nlm", "mean.nlm"):
-        (out / name).write_bytes((indir / name).read_bytes())
+    _carry(indir, out, _CONTEXT_FILES)
     _write_kv(
         out / "meta.txt",
         dict(
@@ -210,71 +206,32 @@ def cmd_fit(args) -> None:
 
 
 def cmd_scale(args) -> None:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    indir, out = _dirs(args)
     meta = _read_kv(indir / "meta.txt")
-    R = int(meta["r"])
-    X = load_matrix(indir / "xhat.nlm")
-    noise_scale = None
-    if not args.rigid:
-        state = LatentState(
-            X=X,
-            U=load_matrix(indir / "uhat.nlm"),
-            s2=float(load_matrix(indir / "s2.nlm")[0, 0]),
-            sigma2=float(load_matrix(indir / "sigma2.nlm")[0, 0]),
-        )
-        noise_scale = latent_noise_scale(state, load_matrix(indir / "pbar.nlm"))
-    fit = fit_min_volume_simplex(X[:, : R - 1], noise_scale=noise_scale)
-    Xc, v_r = constrained_latents(fit)
+    fit, cstate, v_r = pl.scale_stage(
+        _load_state(indir, "xhat.nlm"), load_matrix(indir / "pbar.nlm"), rigid=args.rigid
+    )
     save_matrix(fit.abundances.values, out / "abundances.nlm")
     save_matrix(fit.vertices, out / "v_r_minus1.nlm")
     save_matrix(v_r, out / "v_r.nlm")
-    save_matrix(Xc, out / "xc.nlm")
-    for name in (
-        "yc.nlm",
-        "pbar.nlm",
-        "eigenvalues.nlm",
-        "mean.nlm",
-        "uhat.nlm",
-        "s2.nlm",
-        "sigma2.nlm",
-        "phat.nlm",
-    ):
-        (out / name).write_bytes((indir / name).read_bytes())
+    save_matrix(cstate.X, out / "xc.nlm")
+    _carry(indir, out, _CONTEXT_FILES + ("uhat.nlm", "s2.nlm", "sigma2.nlm", "phat.nlm"))
     _write_kv(out / "meta.txt", meta)
     print(f"wrote abundances and vertex maps (volume {fit.volume:.6g}) to {out}")
 
 
 def cmd_endmembers(args) -> None:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _read_kv(indir / "meta.txt")
-    R = int(meta["r"])
-    Yc = load_matrix(indir / "yc.nlm")
-    basis = load_matrix(indir / "pbar.nlm")
-    evals = load_matrix(indir / "eigenvalues.nlm").ravel()
-    pbar = PcaBasis(
-        basis=basis,
-        eigenvalues=evals,
-        residual_variance=float(meta["residual_variance"]),
+    indir, out = _dirs(args)
+    endm = pl.endmembers_stage(
+        _load_state(indir, "xc.nlm"),
+        load_matrix(indir / "v_r.nlm"),
+        Yc=load_matrix(indir / "yc.nlm"),
+        mean=load_matrix(indir / "mean.nlm").ravel(),
+        basis=load_matrix(indir / "pbar.nlm"),
+        phat=load_matrix(indir / "phat.nlm"),
+        mean_mode=args.mean_mode,
     )
-    mean = load_matrix(indir / "mean.nlm").ravel()
-    Xc = load_matrix(indir / "xc.nlm")
-    U = load_matrix(indir / "uhat.nlm")
-    s2 = float(load_matrix(indir / "s2.nlm")[0, 0])
-    sigma2 = float(load_matrix(indir / "sigma2.nlm")[0, 0])
-    v_r = load_matrix(indir / "v_r.nlm")
-    state = LatentState(X=Xc, U=U, s2=s2, sigma2=sigma2)
-    if args.mean_mode == "pca":
-        P = pbar.basis
-    else:
-        P = load_matrix(indir / "phat.nlm")
-    pred = GpPredictor(
-        state=state, spectral_map=P, v_r=v_r, mean_spectrum=mean, Yc=Yc
-    )
-    endm = extract_endmembers(pred)
+    R = endm.n_endmembers
     lo, hi = confidence95(endm)
     save_matrix(endm.spectra, out / "endmembers.nlm")
     with open(out / "endmembers.csv", "w") as fh:
@@ -296,9 +253,7 @@ def cmd_endmembers(args) -> None:
 
 
 def cmd_baseline(args) -> None:
-    indir = Path(args.indir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    indir, out = _dirs(args)
     pixels = load_matrix(indir / "image.nlm")
     img = HyperImage(pixels)
     endm = vca(img, args.r, seed=args.seed)
@@ -381,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endmembers", help="GP endmember extraction")
     p.add_argument("--in", dest="indir", required=True)
-    p.add_argument("--mean-mode", choices=("pca", "map"), default="pca")
+    p.add_argument("--mean-mode", choices=pl.MEAN_MODES, default="pca")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_endmembers)
 

@@ -34,7 +34,9 @@ class PcaBasis:
     residual_variance: float
 
     def __post_init__(self):
-        b = np.array(self.basis, float)
+        # Fortran order, as eigh returns it: the fit's rounding depends on the
+        # basis layout, and a basis read back from a stage file is C-ordered
+        b = np.array(self.basis, float, order="F")
         ev = np.array(self.eigenvalues, float)
         if b.ndim != 2 or ev.shape != (b.shape[1],):
             raise ValueError("basis must be L x D with one eigenvalue per column")

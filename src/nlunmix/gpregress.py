@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EndmemberSet
-from .model import LatentState, ModelContext, WoodburySolver, map_P, psi, psi_batch
+from .model import LatentState, WoodburySolver, psi, psi_batch
 
 SIMPLEX_TOL = 1e-9
 
@@ -55,36 +55,6 @@ class GpPredictor:
         object.__setattr__(self, "_C", C)
         object.__setattr__(self, "_solver", solver)
         object.__setattr__(self, "_si_resid", si_resid)
-
-    @classmethod
-    def from_fit(
-        cls,
-        state: LatentState,
-        ctx: ModelContext,
-        v_r: np.ndarray,
-        mean_spectrum: np.ndarray,
-        mean_mode: str = "pca",
-    ) -> "GpPredictor":
-        """Build a predictor from a fit.
-
-        ``mean_mode`` selects the spectral map used as the GP mean: "pca"
-        keeps the fixed eigenvector basis in both the prior and residual
-        terms (internally consistent, the default); "map" substitutes the
-        posterior-mean map in both.
-        """
-        if mean_mode == "pca":
-            P = ctx.pbar.basis
-        elif mean_mode == "map":
-            P = map_P(state, ctx)
-        else:
-            raise ValueError("mean_mode must be 'pca' or 'map'")
-        return cls(
-            state=state,
-            spectral_map=P,
-            v_r=v_r,
-            mean_spectrum=mean_spectrum,
-            Yc=ctx.Yc,
-        )
 
 
 def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,11 @@ the latent fit, simplex scaling, GP endmember extraction, and the linear
 baseline, then scores everything against the scene's ground truth.  Reports
 are written as deterministic CSV (wall-clock timings go to a separate file
 so the metrics file is byte-reproducible for fixed seeds).
+
+The four unmixing stages (``reduce_stage``, ``fit_stage``, ``scale_stage``,
+``endmembers_stage``) are written once here: ``run_pipeline`` chains them in
+memory, and each CLI stage command reads its directory, calls one of them
+and writes the next directory.
 """
 from __future__ import annotations
 
@@ -14,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import fcls, vca
-from .core import center
-from .embed import init_latents, lle_weights, pca_basis
+from .core import EndmemberSet, center
+from .embed import LleWeights, PcaBasis, init_latents, lle_weights, pca_basis
 from .gpregress import GpPredictor, extract_endmembers
 from .metrics import align_columns, are, rnmse, sam
 from .model import (
@@ -29,10 +34,12 @@ from .model import (
     reconstruct,
     scg_optimize,
 )
-from .scaling import constrained_latents, fit_min_volume_simplex
+from .scaling import SimplexFit, constrained_latents, fit_min_volume_simplex
 from .scene import SceneRecipe, gamma_matrix, generate_scene
 
 KNOWN_METHODS = ("fcll_gplvm", "vca_fcls")
+# spectral map of the GP mean: the fixed PCA basis, or the fit's posterior-mean map
+MEAN_MODES = ("pca", "map")
 
 
 class PipelineError(RuntimeError):
@@ -61,6 +68,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.mean_mode not in MEAN_MODES:
+            raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -92,8 +101,10 @@ class Report:
     fit: FitReport | None = None
 
 
-def parse_config(text: str) -> tuple[ExperimentConfig, str]:
-    """Parse the flat key=value experiment format; returns (config, outdir)."""
+def parse_kv(text: str) -> dict[str, str]:
+    """Parse flat ``key=value`` lines (configs, recipes, stage metadata).
+    Blank lines and ``#`` comments are skipped; a repeated key keeps its
+    last value; a line without ``=`` is an error naming its line number."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -103,6 +114,12 @@ def parse_config(text: str) -> tuple[ExperimentConfig, str]:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
+    return values
+
+
+def parse_config(text: str) -> tuple[ExperimentConfig, str]:
+    """Parse the flat key=value experiment format; returns (config, outdir)."""
+    values = parse_kv(text)
 
     def take(key, conv, default=None):
         if key in values:
@@ -161,6 +178,75 @@ def _stage(name):
     return _Ctx()
 
 
+def reduce_stage(
+    Yc: np.ndarray, R: int, k: int
+) -> tuple[PcaBasis, LleWeights, np.ndarray]:
+    """PCA basis of the feature dimension, LLE weights over ``k`` neighbours
+    and the initial latents, all from the centered pixels ``Yc``."""
+    pbar = pca_basis(Yc, feature_dim(R))
+    lle = lle_weights(Yc, K=k)
+    x0 = init_latents(Yc, pbar.basis[:, : R - 1])
+    return pbar, lle, x0
+
+
+def fit_stage(
+    Yc: np.ndarray, pbar: PcaBasis, lle: LleWeights, x0: np.ndarray,
+    *, gamma: float, max_iter: int, tol: float,
+) -> tuple[LatentState, FitReport, np.ndarray]:
+    """Latent fit by scaled conjugate gradients from ``x0``.  Returns the
+    fitted state, its report and the posterior-mean spectral map P̂."""
+    ctx = ModelContext(Yc=Yc, pbar=pbar, lle=lle, gamma=gamma)
+    state, report = scg_optimize(initial_state(ctx, x0), ctx, max_iter=max_iter, tol=tol)
+    return state, report, map_P(state, ctx)
+
+
+def scale_stage(
+    state: LatentState, basis: np.ndarray, rigid: bool = False
+) -> tuple[SimplexFit, LatentState, np.ndarray]:
+    """Minimum-volume simplex around the fitted latents.  Unless ``rigid``,
+    the containment penalty adapts to the latent noise scale.  Returns the
+    simplex fit, the state with its latents moved onto the simplex, and the
+    R x R vertex map."""
+    R = state.n_endmembers
+    noise_scale = None if rigid else latent_noise_scale(state, basis)
+    simplex = fit_min_volume_simplex(state.X[:, : R - 1], noise_scale=noise_scale)
+    Xc, v_r = constrained_latents(simplex)
+    cstate = LatentState(X=Xc, U=state.U, s2=state.s2, sigma2=state.sigma2)
+    return simplex, cstate, v_r
+
+
+def endmembers_stage(
+    cstate: LatentState, v_r: np.ndarray, Yc: np.ndarray, mean: np.ndarray,
+    basis: np.ndarray, phat: np.ndarray, mean_mode: str = "pca",
+) -> EndmemberSet:
+    """GP endmembers at the simplex vertices.  ``mean_mode`` picks the GP's
+    spectral map: "pca" the fixed eigenvector basis, "map" the fit stage's
+    posterior-mean map ``phat``."""
+    if mean_mode not in MEAN_MODES:
+        raise ValueError(f"unknown mean_mode {mean_mode!r}")
+    spectral_map = phat if mean_mode == "map" else basis
+    pred = GpPredictor(
+        state=cstate, spectral_map=spectral_map, v_r=v_r, mean_spectrum=mean, Yc=Yc
+    )
+    return extract_endmembers(pred)
+
+
+def _score(scene, recon, abund, endm, t0: float) -> MethodResult:
+    """One method's reconstruction, abundances and endmembers against the
+    scene's truth, endmembers matched to the true ones by ``align_columns``."""
+    M_true = scene.endmembers
+    perm = align_columns(M_true, endm)
+    return MethodResult(
+        are=are(scene.image.pixels, recon),
+        rnmse=rnmse(scene.abundances.values, abund.values[:, perm]),
+        sam_per_endmember=tuple(
+            sam(M_true.spectra[:, r], endm.spectra[:, p]) for r, p in enumerate(perm)
+        ),
+        permutation=perm,
+        wall_clock=time.perf_counter() - t0,
+    )
+
+
 def run_pipeline(config: ExperimentConfig) -> Report:
     """Run the configured methods on a freshly generated scene."""
     recipe = config.recipe
@@ -171,17 +257,13 @@ def run_pipeline(config: ExperimentConfig) -> Report:
     with _stage("gen"):
         scene = generate_scene(recipe)
         Y = scene.image.pixels
-        A_true = scene.abundances.values
-        M_true = scene.endmembers
 
     with _stage("center"):
         centered, mean = center(scene.image)
         Yc = centered.pixels
 
     with _stage("reduce"):
-        pbar = pca_basis(Yc, feature_dim(R))
-        lle = lle_weights(Yc, K=k)
-        x0 = init_latents(Yc, pbar.basis[:, : R - 1])
+        pbar, lle, x0 = reduce_stage(Yc, R, k)
         basis_rm1 = pbar.basis[:, : R - 1]
         pca_recon = (Yc @ basis_rm1) @ basis_rm1.T + mean
         pca_are = are(Y, pca_recon)
@@ -195,36 +277,20 @@ def run_pipeline(config: ExperimentConfig) -> Report:
     if "fcll_gplvm" in config.methods:
         t0 = time.perf_counter()
         with _stage("fit"):
-            ctx = ModelContext(Yc=Yc, pbar=pbar, lle=lle, gamma=config.gamma)
-            state, fit_report = scg_optimize(
-                initial_state(ctx, x0), ctx, max_iter=config.max_iter, tol=config.tol
+            state, fit_report, Phat = fit_stage(
+                Yc, pbar, lle, x0,
+                gamma=config.gamma, max_iter=config.max_iter, tol=config.tol,
             )
-            Phat = map_P(state, ctx)
             llgplvm_are = are(Y, reconstruct(state, Phat) + mean)
         with _stage("scale"):
-            simplex = fit_min_volume_simplex(
-                state.X[:, : R - 1],
-                noise_scale=latent_noise_scale(state, pbar.basis),
-            )
-            Xc, v_r = constrained_latents(simplex)
-            cstate = LatentState(X=Xc, U=state.U, s2=state.s2, sigma2=state.sigma2)
+            simplex, cstate, v_r = scale_stage(state, pbar.basis)
         with _stage("endmembers"):
-            pred = GpPredictor.from_fit(
-                cstate, ctx, v_r, mean, mean_mode=config.mean_mode
+            endm = endmembers_stage(
+                cstate, v_r, Yc, mean, pbar.basis, Phat, config.mean_mode
             )
-            endm = extract_endmembers(pred)
         with _stage("metrics"):
-            perm = align_columns(M_true, endm)
-            sams = tuple(
-                sam(M_true.spectra[:, r], endm.spectra[:, perm[r]]) for r in range(R)
-            )
-            abund = simplex.abundances.values[:, perm]
-            results["fcll_gplvm"] = MethodResult(
-                are=are(Y, reconstruct(cstate, Phat) + mean),
-                rnmse=rnmse(A_true, abund),
-                sam_per_endmember=sams,
-                permutation=perm,
-                wall_clock=time.perf_counter() - t0,
+            results["fcll_gplvm"] = _score(
+                scene, reconstruct(cstate, Phat) + mean, simplex.abundances, endm, t0
             )
             plot_data.update(
                 latents=state.X[:, : R - 1],
@@ -237,19 +303,8 @@ def run_pipeline(config: ExperimentConfig) -> Report:
         with _stage("baseline"):
             endm_vca = vca(scene.image, R, seed=config.baseline_seed)
             abund_vca = fcls(scene.image, endm_vca)
-            perm = align_columns(M_true, endm_vca)
-            sams = tuple(
-                sam(M_true.spectra[:, r], endm_vca.spectra[:, perm[r]])
-                for r in range(R)
-            )
             recon = abund_vca.values @ endm_vca.spectra.T
-            results["vca_fcls"] = MethodResult(
-                are=are(Y, recon),
-                rnmse=rnmse(A_true, abund_vca.values[:, perm]),
-                sam_per_endmember=sams,
-                permutation=perm,
-                wall_clock=time.perf_counter() - t0,
-            )
+            results["vca_fcls"] = _score(scene, recon, abund_vca, endm_vca, t0)
 
     return Report(
         methods=results,

@@ -11,6 +11,7 @@ from nlunmix.model import (
     ModelContext,
     feature_dim,
     initial_state,
+    map_P,
     psi,
     psi_batch,
     psi_jacobian,
@@ -144,10 +145,10 @@ class TestExtractEndmembers:
     def test_noise_free_lmm_end_to_end(self):
         # full chain on a pure-pixel linear scene: fit, scale, extract; the
         # GP endmembers must match the generating spectra to within 1e-3 rad.
-        # The posterior-mean spectral map is the variant that interpolates
-        # the recovered data map exactly, so the noise-free oracle runs
-        # through it; the fixed-basis default trades a little accuracy for
-        # the prior structure and is exercised elsewhere.
+        # The fit's posterior-mean spectral map (mean_mode "map") is the
+        # variant that interpolates the recovered data map exactly, so the
+        # noise-free oracle runs through it; the fixed-basis default trades a
+        # little accuracy for the prior structure and is exercised elsewhere.
         recipe = SceneRecipe(model="lmm", R=3, L=20, N=150, sigma2=1e-10, seed=0)
         M = synth_endmembers(3, 20, seed=0)
         A = AbundanceMatrix(
@@ -164,7 +165,10 @@ class TestExtractEndmembers:
         fit = fit_min_volume_simplex(state.X[:, :2])
         Xc, v_r = constrained_latents(fit)
         cstate = LatentState(X=Xc, U=state.U, s2=state.s2, sigma2=state.sigma2)
-        pred = GpPredictor.from_fit(cstate, ctx, v_r, mean, mean_mode="map")
+        pred = GpPredictor(
+            state=cstate, spectral_map=map_P(state, ctx), v_r=v_r,
+            mean_spectrum=mean, Yc=cimg.pixels,
+        )
         endm = extract_endmembers(pred)
         from nlunmix.metrics import align_columns
 
@@ -184,9 +188,9 @@ class TestExtractEndmembers:
         fit = fit_min_volume_simplex(state.X[:, :1])
         Xc, v_r = constrained_latents(fit)
         cstate = LatentState(X=Xc, U=state.U, s2=state.s2, sigma2=state.sigma2)
-        for mode in ("pca", "map"):
-            pred = GpPredictor.from_fit(cstate, ctx, v_r, mean, mean_mode=mode)
+        for P in (pb.basis, map_P(state, ctx)):
+            pred = GpPredictor(
+                state=cstate, spectral_map=P, v_r=v_r, mean_spectrum=mean, Yc=cimg.pixels
+            )
             endm = extract_endmembers(pred)
             assert np.all(np.isfinite(endm.spectra))
-        with pytest.raises(ValueError):
-            GpPredictor.from_fit(cstate, ctx, v_r, mean, mean_mode="bogus")
