@@ -3,8 +3,9 @@ constrained least-squares (FCLS) abundance estimation.
 
 VCA follows the published algorithm of Nascimento & Bioucas-Dias: an
 SNR-dependent subspace projection followed by iterative orthogonal-direction
-vertex hunting.  FCLS is solved exactly per pixel by an active-set method,
-so the KKT conditions hold to solver precision rather than to an iteration
+vertex hunting.  FCLS is solved exactly by an active-set method that
+iterates all pixels together (each pixel keeps its own active set), so the
+KKT conditions hold to solver precision rather than to an iteration
 budget.
 """
 from __future__ import annotations
@@ -16,6 +17,48 @@ from .core import AbundanceMatrix, EndmemberSet, HyperImage
 KKT_TOL = 1e-9
 
 
+def _kkt_solve(G, Q, passive):
+    """Solve the sum-to-one equality subproblem on the passive columns.
+
+    Rows sharing a passive set share one (k+1) x (k+1) KKT matrix, solved
+    with all of their right-hand sides at once.  Returns the trial points
+    (zero off the passive set), the multipliers, and the mask of rows whose
+    KKT matrix is singular to working precision, which happens when the
+    passive columns of M are affinely dependent (their trial rows are left
+    at zero).
+    """
+    m, R = passive.shape
+    trial = np.zeros((m, R))
+    nu = np.zeros(m)
+    singular = np.zeros(m, dtype=bool)
+    masks, group = np.unique(passive, axis=0, return_inverse=True)
+    for g, mask in enumerate(masks):
+        rows = np.flatnonzero(group.reshape(-1) == g)
+        idx = np.flatnonzero(mask)
+        k = idx.size
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = G[np.ix_(idx, idx)]
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        rhs = np.ones((k + 1, rows.size))
+        rhs[:k] = Q[np.ix_(rows, idx)].T
+        # singularity is judged with G scaled to unit diagonal, which leaves
+        # the KKT solution unchanged, so the test does not depend on M's scale
+        probe = kkt.copy()
+        probe[:k, :k] /= np.abs(np.diag(probe)[:k]).max(initial=0.0) or 1.0
+        try:
+            sv = np.linalg.svd(probe, compute_uv=False)
+            if not sv[-1] > (k + 1) * np.finfo(float).eps * sv[0]:
+                raise np.linalg.LinAlgError
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            singular[rows] = True
+            continue
+        trial[np.ix_(rows, idx)] = sol[:k].T
+        nu[rows] = sol[k]
+    return trial, nu, singular
+
+
 def simplex_lstsq(M: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> np.ndarray:
     """Minimize ||y - M a||^2 subject to a >= 0 and sum(a) = 1, exactly.
 
@@ -23,61 +66,86 @@ def simplex_lstsq(M: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> 
     constraint carried inside the equality-constrained subproblem.  ``M``
     may be any L x R matrix whose passive-column subsets stay affinely
     independent (endmember spectra, or simplex vertices in latent space).
+
+    ``y`` is one L-vector (the result is one R-vector) or an N x L matrix
+    of rows (the result is N x R).  All rows iterate together: M^T M and
+    the projections Y M are formed once, and rows that share a passive set
+    share one KKT solve per iteration.  Each row still takes exactly the
+    steps it would take alone.  A row whose KKT matrix is singular, whose
+    step makes no progress, or that does not converge in ``max_iter``
+    iterations raises an error naming the first such row.
     """
     M = np.asarray(M, float)
-    y = np.asarray(y, float).reshape(-1)
+    Y = np.asarray(y, float)
+    single = Y.ndim == 1
+    Y = Y.reshape(1, -1) if single else Y
     L, R = M.shape
+    if Y.ndim != 2 or Y.shape[1] != L:
+        raise ValueError(f"expected rows of length {L}, got shape {np.shape(y)}")
     if max_iter is None:
         max_iter = 6 * R * R + 30
     G = M.T @ M
-    q = M.T @ y
+    Q = Y @ M
+    n = Y.shape[0]
 
-    a = np.full(R, 1.0 / R)
-    passive = np.ones(R, dtype=bool)
-
-    def eq_solve(mask):
-        idx = np.flatnonzero(mask)
-        k = idx.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = G[np.ix_(idx, idx)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([q[idx], [1.0]])
-        sol = np.linalg.solve(kkt, rhs)
-        full = np.zeros(R)
-        full[idx] = sol[:k]
-        return full, sol[k]
-
-    nu = 0.0
+    A = np.full((n, R), 1.0 / R)
+    passive = np.ones((n, R), dtype=bool)
+    todo = np.arange(n)  # rows still iterating, ascending
+    failed: dict[int, BaseException] = {}
     for _ in range(max_iter):
-        trial, nu = eq_solve(passive)
-        if trial[passive].min() > -1e-13:
-            a = np.where(passive, trial, 0.0)
-            a[~passive] = 0.0
-            # dual feasibility of the pinned coordinates
-            lam = G @ a - q + nu
-            blocked = ~passive
-            if not blocked.any() or lam[blocked].min() >= -KKT_TOL:
-                return np.maximum(a, 0.0)
-            release = np.flatnonzero(blocked)[np.argmin(lam[blocked])]
-            passive[release] = True
-            continue
-        # step from the feasible point toward the subproblem solution until
-        # the first coordinate hits zero, then pin it
-        drops = passive & (trial <= 0.0)
-        denom = a - trial
+        if todo.size == 0:
+            break
+        P = passive[todo]
+        trial, nu, singular = _kkt_solve(G, Q[todo], P)
+        for i in todo[singular]:
+            failed[int(i)] = np.linalg.LinAlgError(
+                "singular KKT system: the passive columns of M are affinely dependent"
+            )
+        feasible = ~singular & (np.where(P, trial, np.inf).min(axis=1) > -1e-13)
+        keep = ~singular
+
+        # feasible subproblem solution: accept it, then check the dual
+        # feasibility of the pinned coordinates
+        f = todo[feasible]
+        a = np.where(P[feasible], trial[feasible], 0.0)
+        A[f] = a
+        lam = a @ G - Q[f] + nu[feasible, None]
+        lam = np.where(P[feasible], np.inf, lam)
+        optimal = lam.min(axis=1) >= -KKT_TOL
+        release = ~optimal
+        passive[f[release], np.argmin(lam[release], axis=1)] = True
+        keep[np.flatnonzero(feasible)[optimal]] = False
+
+        # infeasible: step from the feasible point toward the subproblem
+        # solution until the first coordinate hits zero, then pin it
+        step = ~singular & ~feasible
+        s = todo[step]
+        Ps, Ts, As = P[step], trial[step], A[s]
+        drops = Ps & (Ts <= 0.0)
+        denom = As - Ts
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(drops & (denom > 0), a / denom, np.inf)
+            ratios = np.where(drops & (denom > 0), As / denom, np.inf)
         ratios = np.where(drops & (denom <= 0), 0.0, ratios)
-        t = min(1.0, float(ratios[drops].min()))
-        a = a + t * (trial - a)
-        a[~passive] = 0.0
-        newly = passive & drops & (a <= 1e-13)
-        if not newly.any():
-            raise RuntimeError("active-set step made no progress")
-        a[newly] = 0.0
-        passive[newly] = False
-    raise RuntimeError("active-set iteration failed to converge")
+        t = np.minimum(1.0, ratios.min(axis=1))
+        As = As + t[:, None] * (Ts - As)
+        As[~Ps] = 0.0
+        newly = Ps & drops & (As <= 1e-13)
+        stuck = ~newly.any(axis=1)
+        for i in s[stuck]:
+            failed[int(i)] = RuntimeError("active-set step made no progress")
+        keep[np.flatnonzero(step)[stuck]] = False
+        As[newly] = 0.0
+        A[s] = As
+        passive[s] &= ~newly
+        todo = todo[keep]
+    for i in todo:
+        failed[int(i)] = RuntimeError(f"active-set iteration failed to converge in {max_iter} steps")
+    if failed:
+        first = min(failed)
+        err = failed[first]
+        raise type(err)(f"simplex_lstsq row {first} ({len(failed)} of {n} rows failed): {err}")
+    out = np.maximum(A, 0.0)
+    return out[0] if single else out
 
 
 def kkt_residual(M: np.ndarray, y: np.ndarray, a: np.ndarray) -> float:
@@ -99,17 +167,15 @@ def kkt_residual(M: np.ndarray, y: np.ndarray, a: np.ndarray) -> float:
 
 
 def fcls(Y: HyperImage | np.ndarray, M: EndmemberSet) -> AbundanceMatrix:
-    """Per-pixel fully constrained least squares against the endmembers."""
+    """Fully constrained least squares of every pixel against the
+    endmembers: one :func:`simplex_lstsq` call over all pixels."""
     pixels = Y.pixels if isinstance(Y, HyperImage) else np.asarray(Y, float)
     S = M.spectra
     if pixels.shape[1] != S.shape[0]:
         raise ValueError("pixel band count must match endmember band count")
     if np.linalg.matrix_rank(S) < S.shape[1]:
         raise ValueError("endmember matrix is rank deficient")
-    out = np.empty((pixels.shape[0], S.shape[1]))
-    for n in range(pixels.shape[0]):
-        out[n] = simplex_lstsq(S, pixels[n])
-    return AbundanceMatrix(out)
+    return AbundanceMatrix(simplex_lstsq(S, pixels))
 
 
 def _estimate_snr(Y: np.ndarray, y_mean: np.ndarray, x_p: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from .core import HyperImage, center, load_matrix, save_matrix
 from .embed import LleWeights, PcaBasis
 from .gpregress import confidence95
 from .model import LatentState
-from .scene import SceneRecipe, gamma_matrix, generate_scene
+from .scene import DEFAULT_GBM_GAMMA, SceneRecipe, gamma_matrix, generate_scene
 
 # unused here; bench/spans.py patches these names in this module as well
 from .embed import init_latents, lle_weights, pca_basis  # noqa: F401
@@ -165,15 +165,22 @@ def _load_state(indir: Path, x_name: str) -> LatentState:
     )
 
 
-def cmd_fit(args) -> None:
-    indir, out = _dirs(args)
-    meta = _read_kv(indir / "meta.txt")
-    Yc = load_matrix(indir / "yc.nlm")
-    pbar = PcaBasis(
+def _load_pbar(indir: Path, meta: dict) -> PcaBasis:
+    """The PCA basis of a stage directory, in the layout ``reduce_stage``
+    returns it (``PcaBasis`` stores it Fortran-ordered), so the stages
+    round exactly as they do in ``run_pipeline``."""
+    return PcaBasis(
         basis=load_matrix(indir / "pbar.nlm"),
         eigenvalues=load_matrix(indir / "eigenvalues.nlm").ravel(),
         residual_variance=float(meta["residual_variance"]),
     )
+
+
+def cmd_fit(args) -> None:
+    indir, out = _dirs(args)
+    meta = _read_kv(indir / "meta.txt")
+    Yc = load_matrix(indir / "yc.nlm")
+    pbar = _load_pbar(indir, meta)
     lle = _load_lambda_csv(indir / "lambda.csv", Yc.shape[0], int(meta["k"]))
     state, report, phat = pl.fit_stage(
         Yc, pbar, lle, load_matrix(indir / "x0.nlm"),
@@ -209,7 +216,7 @@ def cmd_scale(args) -> None:
     indir, out = _dirs(args)
     meta = _read_kv(indir / "meta.txt")
     fit, cstate, v_r = pl.scale_stage(
-        _load_state(indir, "xhat.nlm"), load_matrix(indir / "pbar.nlm"), rigid=args.rigid
+        _load_state(indir, "xhat.nlm"), _load_pbar(indir, meta).basis, rigid=args.rigid
     )
     save_matrix(fit.abundances.values, out / "abundances.nlm")
     save_matrix(fit.vertices, out / "v_r_minus1.nlm")
@@ -227,7 +234,7 @@ def cmd_endmembers(args) -> None:
         load_matrix(indir / "v_r.nlm"),
         Yc=load_matrix(indir / "yc.nlm"),
         mean=load_matrix(indir / "mean.nlm").ravel(),
-        basis=load_matrix(indir / "pbar.nlm"),
+        basis=_load_pbar(indir, _read_kv(indir / "meta.txt")).basis,
         phat=load_matrix(indir / "phat.nlm"),
         mean_mode=args.mean_mode,
     )
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=160)
     p.add_argument("--sigma2", type=float, default=1e-4)
     p.add_argument("--amax", type=float, default=1.0)
-    p.add_argument("--gbm-gamma", default="0.9,0.5,0.3")
+    p.add_argument("--gbm-gamma", default=",".join(str(g) for g in DEFAULT_GBM_GAMMA))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

@@ -15,8 +15,9 @@ import scipy.linalg
 import scipy.sparse
 
 GRAM_REG = 1e-9
-# Most squared distances the neighbor search holds at once (float64, 8 MB);
-# rows are searched in blocks of KNN_BLOCK_ENTRIES // N.
+# Most float64 entries (8 MB) one block holds: the neighbor search takes rows
+# in blocks of KNN_BLOCK_ENTRIES // N distances, the weight solves in blocks
+# of KNN_BLOCK_ENTRIES // (K * L) gathered neighbor entries.
 KNN_BLOCK_ENTRIES = 2**20
 
 
@@ -159,6 +160,47 @@ def _nearest_neighbors(Y: np.ndarray, K: int) -> np.ndarray:
     return neighbors
 
 
+_SOLVE_ERRORS = (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError)
+
+
+def _ridged_weights(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weights of one pixel whose plain solve failed: the Gram matrix ridged
+    by 1e-9 * trace, or the minimum-norm least-squares solution."""
+    try:
+        Greg = G + GRAM_REG * np.trace(G) * np.eye(G.shape[0])
+        return scipy.linalg.solve(Greg, b, assume_a="pos")
+    except _SOLVE_ERRORS:
+        # zero-trace Gram (all neighbors at the origin): minimum norm
+        return np.linalg.lstsq(G, b, rcond=None)[0]
+
+
+def _pos_solve(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a stack of Gram systems (m x K x K, right-hand sides m x K x 1)
+    the way ``scipy.linalg.solve`` solves a single one, so a row's weights do
+    not depend on the rows stacked with it: Cholesky per slice, or, for
+    K = 1, the plain division scipy uses for a lone 1 x 1 system."""
+    if G.shape[-1] == 1:
+        if np.any(G == 0.0):
+            raise np.linalg.LinAlgError("singular 1 x 1 Gram matrix")
+        return b / G
+    with warnings.catch_warnings():
+        # near-singular neighborhoods are expected on structured data; the
+        # callers' finiteness checks arbitrate
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.solve(G, b, assume_a="pos")
+
+
+def _row_weights(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weights of one pixel: solve, then the ridge, then least squares."""
+    try:
+        w = _pos_solve(G[None], b[None, :, None])[0, :, 0]
+        if not np.all(np.isfinite(w)):
+            raise np.linalg.LinAlgError
+    except _SOLVE_ERRORS:
+        w = _ridged_weights(G, b)
+    return w
+
+
 def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
     """Neighbor sets and local reconstruction weights for every pixel.
 
@@ -168,8 +210,15 @@ def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
     max(N, ``KNN_BLOCK_ENTRIES``) distances per block, never O(N^2); the
     neighbors are those of a full stable sort of the dense distance matrix.
     Per row the weights solve the K x K normal equations of
-    min ||y_i - sum_j w_j y_j||^2; a singular local Gram matrix is ridged by
-    1e-9 * trace before solving.
+    min ||y_i - sum_j w_j y_j||^2.  The Gram systems of a block of rows
+    (at most ``KNN_BLOCK_ENTRIES`` gathered neighbor entries) go to one
+    stacked Cholesky solve, which runs the same LAPACK routine per row as a
+    row-by-row solve, so the weights do not depend on the blocking.  If the
+    stacked solve raises, each row of the block goes through the per-row
+    chain: solve, ridge, least squares.  A row whose stacked solve comes
+    back non-finite goes through the last two.  The ridge adds
+    1e-9 * trace to a singular local Gram matrix; one that stays singular
+    (all neighbors at the origin) gets the minimum-norm solution.
     """
     Y = np.asarray(Y, float)
     n = Y.shape[0]
@@ -177,26 +226,20 @@ def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
         raise ValueError("need 1 <= K < N")
     neighbors = _nearest_neighbors(Y, K)
     weights = np.empty((n, K))
-    for i in range(n):
-        Z = Y[neighbors[i]]  # K x L
-        G = Z @ Z.T
-        b = Z @ Y[i]
+    step = max(1, KNN_BLOCK_ENTRIES // (K * max(Y.shape[1], 1)))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        Z = Y[neighbors[start:stop]]  # m x K x L
+        G = Z @ np.swapaxes(Z, 1, 2)
+        b = Z @ Y[start:stop, :, None]  # m x K x 1
         try:
-            with warnings.catch_warnings():
-                # near-singular neighborhoods are expected on structured
-                # data; the finiteness check below arbitrates
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                w = scipy.linalg.solve(G, b, assume_a="pos")
-            if not np.all(np.isfinite(w)):
-                raise np.linalg.LinAlgError
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            try:
-                Greg = G + GRAM_REG * np.trace(G) * np.eye(K)
-                w = scipy.linalg.solve(Greg, b, assume_a="pos")
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-                # zero-trace Gram (all neighbors at the origin): minimum norm
-                w = np.linalg.lstsq(G, b, rcond=None)[0]
-        weights[i] = w
+            w = _pos_solve(G, b)[..., 0]
+        except _SOLVE_ERRORS:
+            w = np.array([_row_weights(G[r], b[r, :, 0]) for r in range(stop - start)])
+        else:
+            for r in np.flatnonzero(~np.all(np.isfinite(w), axis=1)):
+                w[r] = _ridged_weights(G[r], b[r, :, 0])
+        weights[start:stop] = w
     return LleWeights(neighbors=neighbors, weights=weights)
 
 

@@ -48,14 +48,15 @@ def psi_batch(X: np.ndarray) -> np.ndarray:
 
 
 def psi_jacobian(x: np.ndarray) -> np.ndarray:
-    """Exact D x R Jacobian of :func:`psi` at x."""
-    x = np.asarray(x, float).reshape(-1)
-    R = x.shape[0]
-    J = np.zeros((feature_dim(R), R))
-    J[:R, :R] = np.eye(R)
+    """Exact D x R Jacobian of :func:`psi` at x; for an N x R matrix of
+    rows, the N x D x R stack of their Jacobians."""
+    x = np.asarray(x, float)
+    R = x.shape[-1]
+    J = np.zeros(x.shape[:-1] + (feature_dim(R), R))
+    J[..., :R, :R] = np.eye(R)
     for k, (i, j) in enumerate(feature_pairs(R)):
-        J[R + k, i] = x[j]
-        J[R + k, j] = x[i]
+        J[..., R + k, i] = x[..., j]
+        J[..., R + k, j] = x[..., i]
     return J
 
 
@@ -463,17 +464,20 @@ def latent_noise_scale(state: LatentState, basis: np.ndarray) -> float:
 
     Linearizes the latent-to-spectrum map at every pixel: a spectral
     perturbation of variance sigma2 per band moves the maximum-likelihood
-    free latent coordinates with covariance sigma2 (G^T G)^{-1}, G being the
-    local Jacobian.  Returns the RMS per-axis standard deviation over the
+    free latent coordinates with covariance sigma2 (G^T G)^{-1}, G = P U^T F
+    being the local L x (R-1) Jacobian and F the feature Jacobian on the
+    free coordinates.  All pixels are done at once: G^T G = F^T K F with the
+    D x D matrix K = (P U^T)^T (P U^T), so no L-sized array is formed per
+    pixel, and one stacked Hermitian pseudo-inverse gives every pixel's
+    covariance.  Returns the RMS per-axis standard deviation over the
     cloud, which calibrates how softly the scaling step should treat points
     just outside the simplex.
     """
-    R = state.n_endmembers
+    n, R = state.X.shape
     reduce_free = np.vstack([np.eye(R - 1), -np.ones((1, R - 1))])
     PU = np.asarray(basis, float) @ state.U.T  # L x D
-    total = 0.0
-    for n in range(state.n_pixels):
-        G = PU @ (psi_jacobian(state.X[n]) @ reduce_free)  # L x (R-1)
-        gram = G.T @ G
-        total += np.trace(np.linalg.pinv(gram, hermitian=True))
-    return float(np.sqrt(state.sigma2 * total / (state.n_pixels * (R - 1))))
+    K = PU.T @ PU
+    F = psi_jacobian(state.X) @ reduce_free  # N x D x (R-1)
+    grams = np.swapaxes(F, 1, 2) @ (K @ F)
+    total = np.trace(np.linalg.pinv(grams, hermitian=True), axis1=1, axis2=2).sum()
+    return float(np.sqrt(state.sigma2 * total / (n * (R - 1))))

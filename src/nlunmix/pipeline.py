@@ -35,7 +35,7 @@ from .model import (
     scg_optimize,
 )
 from .scaling import SimplexFit, constrained_latents, fit_min_volume_simplex
-from .scene import SceneRecipe, gamma_matrix, generate_scene
+from .scene import DEFAULT_GBM_GAMMA, SceneRecipe, gamma_matrix, generate_scene
 
 KNOWN_METHODS = ("fcll_gplvm", "vca_fcls")
 # spectral map of the GP mean: the fixed PCA basis, or the fit's posterior-mean map
@@ -136,7 +136,7 @@ def parse_config(text: str) -> tuple[ExperimentConfig, str]:
         coeffs = (
             [float(v) for v in gamma_coeffs.split(",")]
             if gamma_coeffs
-            else [0.0] * (r * (r - 1) // 2)
+            else DEFAULT_GBM_GAMMA
         )
         gamma_m = gamma_matrix(r, coeffs)
     recipe = SceneRecipe(

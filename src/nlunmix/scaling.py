@@ -229,10 +229,7 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
         )
         V = _newton_polish(res.x.reshape(R - 1, R), Xt, R, mu_faces)
 
-    A = np.empty((n, R))
-    for i in range(n):
-        A[i] = simplex_lstsq(V, X[i])
-    abund = AbundanceMatrix(A)
+    abund = AbundanceMatrix(simplex_lstsq(V, X))
     v_r = np.vstack([V, 1.0 - V.sum(axis=0)])
     return SimplexFit(
         vertices=V,

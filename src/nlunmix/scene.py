@@ -18,6 +18,10 @@ MODELS = ("lmm", "fm", "gbm")
 
 MIN_PAIRWISE_SAM = 0.15
 
+# GBM interaction coefficients of the pairs (1,2), (1,3), (2,3) when a
+# three-endmember GBM recipe names none
+DEFAULT_GBM_GAMMA = (0.9, 0.5, 0.3)
+
 
 @dataclass(frozen=True)
 class SceneRecipe:
@@ -70,8 +74,8 @@ def gamma_matrix(R: int, coeffs) -> np.ndarray:
 
 def default_recipe(model: str, seed: int = 0, amax: float = 1.0) -> SceneRecipe:
     """Desk-scale benchmark recipe: N=2500 pixels, R=3, L=160, sigma2=1e-4,
-    GBM coefficients (0.9, 0.5, 0.3)."""
-    gamma = gamma_matrix(3, [0.9, 0.5, 0.3]) if model == "gbm" else None
+    GBM coefficients ``DEFAULT_GBM_GAMMA``."""
+    gamma = gamma_matrix(3, DEFAULT_GBM_GAMMA) if model == "gbm" else None
     return SceneRecipe(model=model, R=3, L=160, N=2500, sigma2=1e-4, seed=seed,
                        amax=amax, gamma=gamma)
 

@@ -79,6 +79,110 @@ class TestSimplexLstsq:
             assert f_grid - f_opt <= bound
 
 
+def _simplex_lstsq_row(M, y, max_iter=None):
+    """Reference: the one-pixel active-set solver that simplex_lstsq batches."""
+    L, R = M.shape
+    if max_iter is None:
+        max_iter = 6 * R * R + 30
+    G = M.T @ M
+    q = M.T @ y
+    a = np.full(R, 1.0 / R)
+    passive = np.ones(R, dtype=bool)
+
+    def eq_solve(mask):
+        idx = np.flatnonzero(mask)
+        k = idx.size
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = G[np.ix_(idx, idx)]
+        kkt[:k, k] = 1.0
+        kkt[k, :k] = 1.0
+        sol = np.linalg.solve(kkt, np.concatenate([q[idx], [1.0]]))
+        full = np.zeros(R)
+        full[idx] = sol[:k]
+        return full, sol[k]
+
+    for _ in range(max_iter):
+        trial, nu = eq_solve(passive)
+        if trial[passive].min() > -1e-13:
+            a = np.where(passive, trial, 0.0)
+            lam = G @ a - q + nu
+            blocked = ~passive
+            if not blocked.any() or lam[blocked].min() >= -1e-9:
+                return np.maximum(a, 0.0)
+            passive[np.flatnonzero(blocked)[np.argmin(lam[blocked])]] = True
+            continue
+        drops = passive & (trial <= 0.0)
+        denom = a - trial
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(drops & (denom > 0), a / denom, np.inf)
+        ratios = np.where(drops & (denom <= 0), 0.0, ratios)
+        t = min(1.0, float(ratios[drops].min()))
+        a = a + t * (trial - a)
+        a[~passive] = 0.0
+        newly = passive & drops & (a <= 1e-13)
+        assert newly.any(), "reference step made no progress"
+        a[newly] = 0.0
+        passive[newly] = False
+    raise AssertionError("reference did not converge")
+
+
+class TestBatchedSimplexLstsq:
+    @staticmethod
+    def _pixels(M, rng):
+        """Random pixels, the vertices, the edge midpoints, and repeats."""
+        L, R = M.shape
+        noisy = rng.dirichlet(np.ones(R), size=40) @ M.T + rng.normal(scale=0.3, size=(40, L))
+        outside = rng.normal(scale=0.8, size=(20, L)) + 0.5
+        mids = np.array([(M[:, i] + M[:, j]) / 2 for i in range(R) for j in range(i + 1, R)])
+        Y = np.vstack([noisy, outside, M.T, mids])
+        return np.vstack([Y, Y[::3], Y[:5]])
+
+    @pytest.mark.parametrize("R", [2, 3, 4, 5])
+    def test_rows_match_one_pixel_solver(self, R):
+        rng = np.random.default_rng(20 + R)
+        for M in (rng.uniform(0.05, 1.0, size=(12, R)), rng.normal(size=(R - 1, R))):
+            Y = self._pixels(M, rng)
+            A = simplex_lstsq(M, Y)
+            ref = np.array([_simplex_lstsq_row(M, y) for y in Y])
+            assert A.shape == (len(Y), R)
+            np.testing.assert_allclose(A, ref, rtol=0, atol=1e-12)
+            assert max(kkt_residual(M, y, a) for y, a in zip(Y, A)) <= 1e-9
+            # repeated pixels get the identical row
+            assert np.array_equal(A[len(Y) - 5:], A[:5])
+
+    def test_one_pixel_gives_one_row(self):
+        M = synth_endmembers(3, 16, seed=0).spectra
+        y = 0.2 * M[:, 0] + 0.8 * M[:, 2]
+        a = simplex_lstsq(M, y)
+        assert a.shape == (3,)
+        assert np.array_equal(a, simplex_lstsq(M, y[None, :])[0])
+
+    @pytest.mark.parametrize("R", [2, 3, 4, 5])
+    def test_affinely_dependent_columns_fail_naming_the_row(self, R):
+        # the last column is an exact affine combination of the first two:
+        # a duplicate for R = 2, their midpoint otherwise
+        rng = np.random.default_rng(30 + R)
+        M = rng.integers(1, 16, size=(12, R)) / 16.0
+        M[:, -1] = M[:, 0] if R == 2 else (M[:, 0] + M[:, 1]) / 2
+        Y = rng.normal(scale=0.1, size=(6, 12)) + 0.5
+        for scale in (1e-8, 1.0, 1e8):
+            with pytest.raises(np.linalg.LinAlgError, match=r"row 0 \(6 of 6 rows failed\): singular KKT"):
+                simplex_lstsq(M * scale, Y * scale)
+
+    def test_stuck_rows_are_named_first_to_last(self):
+        M = synth_endmembers(3, 16, seed=0).spectra
+        Y = np.random.default_rng(5).normal(scale=0.1, size=(10, 16)) + 0.5
+        Y[[7, 3]] = np.nan
+        with pytest.raises(RuntimeError, match=r"row 3 \(2 of 10 rows failed\): .*no progress"):
+            simplex_lstsq(M, Y)
+
+    def test_unconverged_rows_are_named(self):
+        M = synth_endmembers(3, 16, seed=0).spectra
+        y = 2.0 * M[:, 0] - 0.5 * M[:, 1]  # needs more than one step
+        with pytest.raises(RuntimeError, match=r"row 1 \(1 of 2 rows failed\): .*converge in 1 steps"):
+            simplex_lstsq(M, np.vstack([M[:, 0], y]), max_iter=1)
+
+
 class TestFcls:
     def test_rows_on_simplex(self):
         scene = generate_scene(SceneRecipe(model="lmm", R=3, L=16, N=40, sigma2=1e-4, seed=5))

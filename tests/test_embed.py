@@ -1,8 +1,10 @@
 """Tests for the PCA basis, LLE weights, and latent initialization."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlunmix import embed
 from nlunmix.embed import init_latents, lle_weights, pca_basis
@@ -122,6 +124,73 @@ class TestLleWeights:
         Y = np.array([[1.0, 1.0]] * 4 + [[9.0, 9.0]])
         w = lle_weights(Y, K=3)
         assert np.all(np.isfinite(w.weights))
+
+
+def _weights_per_row(Y, neighbors):
+    """Reference: one K x K solve per pixel, with its ridge and
+    least-squares fallbacks."""
+    K = neighbors.shape[1]
+    weights = np.empty(neighbors.shape)
+    for i in range(len(Y)):
+        Z = Y[neighbors[i]]
+        G = Z @ Z.T
+        b = Z @ Y[i]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                w = scipy.linalg.solve(G, b, assume_a="pos")
+            if not np.all(np.isfinite(w)):
+                raise np.linalg.LinAlgError
+        except (np.linalg.LinAlgError, ValueError):
+            try:
+                w = scipy.linalg.solve(G + 1e-9 * np.trace(G) * np.eye(K), b, assume_a="pos")
+            except (np.linalg.LinAlgError, ValueError):
+                w = np.linalg.lstsq(G, b, rcond=None)[0]
+        weights[i] = w
+    return weights
+
+
+class TestStackedWeightSolves:
+    """The stacked solves give the per-row solves' weights bit for bit,
+    fallbacks included, whatever rows share a stack."""
+
+    @staticmethod
+    def _fixture(kind):
+        rng = np.random.default_rng(12)
+        Y = rng.normal(size=(60, 5))
+        if kind == "duplicates":  # singular local Gram matrices: the ridge
+            Y[[10, 11, 12]] = Y[3]
+            Y[[40, 41]] = Y[20]
+        elif kind == "zeros":  # an all-zero neighborhood: least squares
+            Y[[0, 17, 33, 50]] = 0.0
+        return Y
+
+    @pytest.mark.parametrize("kind", ["plain", "duplicates", "zeros"])
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("entries", [None, 7 * 5])
+    def test_weights_equal_per_row_solves(self, monkeypatch, kind, K, entries):
+        Y = self._fixture(kind)
+        if entries is not None:  # stacks of 7 rows for K = 1, 2 rows for K = 3
+            monkeypatch.setattr(embed, "KNN_BLOCK_ENTRIES", entries)
+        calls = {"lstsq": 0}
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        w = lle_weights(Y, K)
+        want = _weights_per_row(Y, w.neighbors)
+        assert np.array_equal(w.weights, want)
+        assert (calls["lstsq"] > 0) == (kind == "zeros")
+
+    def test_duplicates_take_the_ridge(self, monkeypatch):
+        ridged = []
+        ridge = embed._ridged_weights
+        monkeypatch.setattr(embed, "_ridged_weights", lambda G, b: ridged.append(1) or ridge(G, b))
+        lle_weights(self._fixture("duplicates"), 3)
+        assert ridged
 
 
 def _dense_neighbors(Y, K):

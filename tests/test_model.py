@@ -11,6 +11,7 @@ from nlunmix.model import (
     WoodburySolver,
     feature_dim,
     grad_neg_log_posterior,
+    latent_noise_scale,
     map_P,
     neg_log_posterior,
     objective_function,
@@ -92,6 +93,49 @@ class TestPsiJacobian:
     def test_r2_by_hand(self):
         a, b = 0.3, -1.2
         assert np.array_equal(psi_jacobian([a, b]), [[1, 0], [0, 1], [b, a]])
+
+    def test_stack_matches_single(self):
+        X = np.random.default_rng(2).normal(size=(5, 4))
+        J = psi_jacobian(X)
+        assert J.shape == (5, feature_dim(4), 4)
+        for n in range(5):
+            assert np.array_equal(J[n], psi_jacobian(X[n]))
+
+
+def _noise_scale_per_pixel(state, basis):
+    """Reference: one L x (R-1) Jacobian and one pseudo-inverse per pixel."""
+    R = state.n_endmembers
+    reduce_free = np.vstack([np.eye(R - 1), -np.ones((1, R - 1))])
+    PU = np.asarray(basis, float) @ state.U.T
+    total = 0.0
+    for n in range(state.n_pixels):
+        G = PU @ (psi_jacobian(state.X[n]) @ reduce_free)
+        total += np.trace(np.linalg.pinv(G.T @ G, hermitian=True))
+    return float(np.sqrt(state.sigma2 * total / (state.n_pixels * (R - 1))))
+
+
+class TestLatentNoiseScale:
+    @pytest.mark.parametrize("R", [2, 3, 4])
+    def test_matches_per_pixel_loop(self, R):
+        rng = np.random.default_rng(40 + R)
+        D = feature_dim(R)
+        basis = np.linalg.qr(rng.normal(size=(30, D)))[0]
+        state = random_state(rng, 200, R, sigma2=1e-4)
+        want = _noise_scale_per_pixel(state, basis)
+        assert latent_noise_scale(state, basis) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_rank_deficient_jacobians_match_per_pixel_loop(self):
+        # U of rank one: every Jacobian has rank one of two, and both
+        # compute the pseudo-inverse of a singular Gram matrix
+        rng = np.random.default_rng(7)
+        R, D = 3, feature_dim(3)
+        state = random_state(rng, 50, R)
+        U = np.zeros((D, D))
+        U[0, 0] = 1.5
+        state = LatentState(X=state.X, U=U, s2=state.s2, sigma2=state.sigma2)
+        basis = np.linalg.qr(rng.normal(size=(12, D)))[0]
+        want = _noise_scale_per_pixel(state, basis)
+        assert latent_noise_scale(state, basis) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestWoodbury:

@@ -60,12 +60,12 @@ def test_cli_chain_matches_run_pipeline(cli_chain, mean_mode):
     perm = list(m.permutation)
     A_true = load_matrix(d / "scene" / "abundances.nlm")
     assert rnmse(A_true, load_matrix(d / "scale" / "abundances.nlm")[:, perm]) == m.rnmse
-    # the basis read back from pbar.nlm is C-ordered, the in-memory one
-    # Fortran-ordered, so the GP's sums may round differently by an ulp
+    # the stage commands load pbar.nlm in the in-memory (Fortran) layout, so
+    # the GP's sums round exactly as in run_pipeline
     M_true = load_matrix(d / "scene" / "endmembers.nlm")
     M_cli = load_matrix(d / f"endm_{mean_mode}" / "endmembers.nlm")
     sams = [sam(M_true[:, r], M_cli[:, p]) for r, p in enumerate(perm)]
-    np.testing.assert_allclose(sams, m.sam_per_endmember, rtol=1e-12, atol=0)
+    assert sams == list(m.sam_per_endmember)
 
 
 def test_bad_meta_line_fails_with_stage_and_line(cli_chain, tmp_path, capsys):
@@ -104,3 +104,15 @@ class TestMeanMode:
     def test_stage_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mean_mode"):
             endmembers_stage(None, None, None, None, None, None, mean_mode="bogus")
+
+
+def test_gbm_config_without_gamma_gets_the_gen_default(tmp_path):
+    # a config and `nlunmix gen` build the same GBM recipe when neither
+    # names the interaction coefficients
+    config, _ = parse_config("model=gbm\nr=3\nl=12\nn=20\nsigma2=1e-4\nseed=1")
+    assert run(["gen", "--model", "gbm", "--r", 3, "--l", 12, "--n", 20,
+                "--sigma2", 1e-4, "--seed", 1, "--out", tmp_path]) == 0
+    written = parse_kv((tmp_path / "recipe.txt").read_text())["gbm_gamma"]
+    want = gamma_matrix(3, [float(v) for v in written.split(",")])
+    assert np.array_equal(config.recipe.gamma, want)
+    assert np.any(want != 0.0)
