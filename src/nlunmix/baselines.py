@@ -178,11 +178,10 @@ def fcls(Y: HyperImage | np.ndarray, M: EndmemberSet) -> AbundanceMatrix:
     return AbundanceMatrix(simplex_lstsq(S, pixels))
 
 
-def _estimate_snr(Y: np.ndarray, y_mean: np.ndarray, x_p: np.ndarray) -> float:
-    L, N = Y.shape
-    R = x_p.shape[0]
-    p_y = float(np.sum(Y**2)) / N
-    p_x = float(np.sum(x_p**2)) / N + float(y_mean @ y_mean)
+def _estimate_snr(p_y: float, p_x: float, R: int, L: int) -> float:
+    """SNR in dB from the mean pixel power ``p_y`` and the mean power
+    ``p_x`` of the pixels' projection on the top-R centered subspace plus
+    the mean spectrum's."""
     denom = p_y - p_x
     if denom <= 0:
         return np.inf
@@ -193,7 +192,9 @@ def vca(Y: HyperImage | np.ndarray, R: int, seed: int) -> EndmemberSet:
     """Vertex component analysis on uncentered pixels.
 
     The random direction vectors come from the given seed, so repeated runs
-    are identical.
+    are identical.  Both second moments come from one L x L product and
+    only the R chosen pixels are projected back to spectra, so beyond the
+    rank check's SVD no N x L temporary is formed.
     """
     pixels = Y.pixels if isinstance(Y, HyperImage) else np.asarray(Y, float)
     if isinstance(Y, HyperImage) and Y.centered:
@@ -208,25 +209,28 @@ def vca(Y: HyperImage | np.ndarray, R: int, seed: int) -> EndmemberSet:
     rng = np.random.default_rng(seed)
 
     y_mean = Ym.mean(axis=1)
-    Yo = Ym - y_mean[:, None]
-    U_cent, _, _ = np.linalg.svd(Yo @ Yo.T / N)
-    x_p = U_cent[:, :R].T @ Yo
-    snr = _estimate_snr(Ym, y_mean, x_p)
+    second = Ym @ Ym.T  # N times the raw second moment
+    # centered second moment; the projection power of the SNR estimate is
+    # the sum of its top R eigenvalues
+    U_cent, ev_cent, _ = np.linalg.svd(second / N - np.outer(y_mean, y_mean))
+    snr = _estimate_snr(
+        float(np.trace(second)) / N, float(ev_cent[:R].sum() + y_mean @ y_mean), R, L
+    )
     snr_threshold = 15.0 + 10.0 * np.log10(R)
 
     if snr > snr_threshold:
         # projective projection on the raw second-moment subspace
-        Ud, _, _ = np.linalg.svd(Ym @ Ym.T / N)
+        Ud, _, _ = np.linalg.svd(second / N)
         Ud = Ud[:, :R]
         x = Ud.T @ Ym
-        Yp = Ud @ x
+        offset = 0.0
         u = x.mean(axis=1)
         y = x / (u @ x)[None, :]
     else:
         # affine projection to R-1 dimensions plus a constant coordinate
         Ud = U_cent[:, : R - 1]
-        x = Ud.T @ Yo
-        Yp = Ud @ x + y_mean[:, None]
+        x = Ud.T @ Ym - (Ud.T @ y_mean)[:, None]
+        offset = y_mean[:, None]
         c = np.sqrt(np.max(np.sum(x**2, axis=0)))
         y = np.vstack([x, c * np.ones((1, N))])
 
@@ -241,4 +245,7 @@ def vca(Y: HyperImage | np.ndarray, R: int, seed: int) -> EndmemberSet:
         indices[i] = int(np.argmax(np.abs(v)))
         A[:, i] = y[:, indices[i]]
 
-    return EndmemberSet(Yp[:, indices], names=tuple(f"vca_{i + 1}" for i in range(R)))
+    # Fortran order, the layout that picking columns of the full L x N
+    # projection gave: FCLS's products round differently with the other one
+    spectra = np.asfortranarray(Ud @ x[:, indices] + offset)
+    return EndmemberSet(spectra, names=tuple(f"vca_{i + 1}" for i in range(R)))

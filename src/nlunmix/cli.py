@@ -10,8 +10,10 @@ recipes and stage metadata are flat key=value text files.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,15 @@ def _dirs(args) -> tuple[Path, Path]:
 def _carry(indir: Path, out: Path, names) -> None:
     """Copy files forward so later stages are self-contained."""
     for name in names:
-        (out / name).write_bytes((indir / name).read_bytes())
+        shutil.copyfile(indir / name, out / name)
+
+
+def _load_readonly(path: Path) -> np.ndarray:
+    """A stage file's matrix, read-only, so that the image and model
+    containers it goes into share it instead of copying it."""
+    m = load_matrix(path)
+    m.flags.writeable = False
+    return m
 
 
 def _recipe_to_kv(recipe: SceneRecipe) -> dict:
@@ -102,33 +112,44 @@ def cmd_gen(args) -> None:
 
 
 def _save_lambda_csv(path: Path, lle: LleWeights) -> None:
+    n, k = lle.neighbors.shape
+    cells = zip(
+        np.repeat(np.arange(n), k).tolist(),
+        lle.neighbors.ravel().tolist(),
+        lle.weights.ravel().tolist(),
+    )
     with open(path, "w") as fh:
         fh.write("i,j,weight\n")
-        for i in range(lle.n_pixels):
-            for j, w in zip(lle.neighbors[i], lle.weights[i]):
-                fh.write(f"{i},{j},{format(w, '.17g')}\n")
+        # one %-format over all rows; %.17g prints as format(w, ".17g")
+        fh.write(("%d,%d,%.17g\n" * (n * k)) % tuple(chain.from_iterable(cells)))
 
 
 def _load_lambda_csv(path: Path, n: int, k: int) -> LleWeights:
-    neighbors = np.empty((n, k), dtype=np.int64)
-    weights = np.empty((n, k))
-    counts = np.zeros(n, dtype=int)
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            i_s, j_s, w_s = line.strip().split(",")
-            i = int(i_s)
-            neighbors[i, counts[i]] = int(j_s)
-            weights[i, counts[i]] = float(w_s)
-            counts[i] += 1
-    if not np.all(counts == k):
-        raise ValueError(f"{path}: expected exactly {k} weights per pixel")
-    return LleWeights(neighbors=neighbors, weights=weights)
+    """Weights written by ``_save_lambda_csv``; each pixel's rows may come
+    in any order relative to other pixels' and keep their own order."""
+    try:
+        rows = np.loadtxt(
+            path, delimiter=",", skiprows=1, ndmin=1,
+            dtype=[("i", np.int64), ("j", np.int64), ("w", float)],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    for name, what in (("i", "pixel"), ("j", "neighbour")):
+        bad = rows[name][(rows[name] < 0) | (rows[name] >= n)]
+        if bad.size:
+            raise ValueError(f"{path}: {what} index {bad[0]} outside [0, {n})")
+    counts = np.bincount(rows["i"], minlength=n)
+    if np.any(counts != k):
+        pixel = int(np.argmax(counts != k))
+        raise ValueError(
+            f"{path}: pixel {pixel} has {counts[pixel]} weights, expected exactly {k}"
+        )
+    rows = rows[np.argsort(rows["i"], kind="stable")]
+    return LleWeights(neighbors=rows["j"].reshape(n, k), weights=rows["w"].reshape(n, k))
 
 
 def cmd_reduce(args) -> None:
     indir, out = _dirs(args)
-    pixels = load_matrix(indir / "image.nlm")
     recipe_path = indir / "recipe.txt"
     if args.r is not None:
         R = args.r
@@ -137,7 +158,8 @@ def cmd_reduce(args) -> None:
     else:
         raise ValueError("pass --r when the input has no recipe.txt")
     k = args.k if args.k is not None else R
-    centered, mean = center(HyperImage(pixels))
+    # the raw image is not kept: it is freed once the centered copy exists
+    centered, mean = center(HyperImage(_load_readonly(indir / "image.nlm")))
     pbar, lle, x0 = pl.reduce_stage(centered.pixels, R, k)
     save_matrix(pbar.basis, out / "pbar.nlm")
     save_matrix(pbar.eigenvalues.reshape(-1, 1), out / "eigenvalues.nlm")
@@ -179,7 +201,7 @@ def _load_pbar(indir: Path, meta: dict) -> PcaBasis:
 def cmd_fit(args) -> None:
     indir, out = _dirs(args)
     meta = _read_kv(indir / "meta.txt")
-    Yc = load_matrix(indir / "yc.nlm")
+    Yc = _load_readonly(indir / "yc.nlm")
     pbar = _load_pbar(indir, meta)
     lle = _load_lambda_csv(indir / "lambda.csv", Yc.shape[0], int(meta["k"]))
     state, report, phat = pl.fit_stage(
@@ -261,8 +283,7 @@ def cmd_endmembers(args) -> None:
 
 def cmd_baseline(args) -> None:
     indir, out = _dirs(args)
-    pixels = load_matrix(indir / "image.nlm")
-    img = HyperImage(pixels)
+    img = HyperImage(_load_readonly(indir / "image.nlm"))
     endm = vca(img, args.r, seed=args.seed)
     abund = fcls(img, endm)
     save_matrix(endm.spectra, out / "vca_endmembers.nlm")

@@ -7,10 +7,15 @@ Conventions used throughout the package:
 - abundances are an N x R matrix whose rows live on the probability simplex.
 
 All container types are immutable after construction (the wrapped arrays are
-marked read-only) and can safely be shared across threads.
+marked read-only) and can safely be shared across threads.  They copy what
+they are given, except a float64 array that is already read-only and owns
+its memory, which they share: nothing can write to it without first
+switching its flag back on, so a stage can hand an image-sized matrix from
+one container to the next without a second copy.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -38,7 +43,16 @@ class DimensionOverflow(MatrixIOError):
     """Header dimensions are implausibly large or overflow the payload size."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def readonly(a) -> np.ndarray:
+    """``a`` as a read-only float64 array: shared if it already is one that
+    owns its memory, copied otherwise."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        return a
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
@@ -57,7 +71,7 @@ class HyperImage:
     mean_spectrum: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _frozen(self.pixels))
+        object.__setattr__(self, "pixels", readonly(self.pixels))
         px = self.pixels
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("pixels must be a nonempty N x L matrix")
@@ -66,7 +80,7 @@ class HyperImage:
         if self.centered:
             if self.mean_spectrum is None:
                 raise ValueError("centered image requires mean_spectrum")
-            mean = _frozen(self.mean_spectrum).reshape(-1)
+            mean = readonly(self.mean_spectrum).reshape(-1)
             if mean.shape[0] != px.shape[1]:
                 raise ValueError("mean_spectrum length must equal band count")
             object.__setattr__(self, "mean_spectrum", mean)
@@ -98,7 +112,7 @@ class EndmemberSet:
     band_variance: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "spectra", _frozen(self.spectra))
+        object.__setattr__(self, "spectra", readonly(self.spectra))
         sp = self.spectra
         if sp.ndim != 2 or sp.shape[1] < 2:
             raise ValueError("spectra must be L x R with R >= 2")
@@ -113,7 +127,7 @@ class EndmemberSet:
         else:
             object.__setattr__(self, "names", tuple(self.names))
         if self.band_variance is not None:
-            bv = _frozen(self.band_variance)
+            bv = readonly(self.band_variance)
             if bv.shape != sp.shape:
                 raise ValueError("band_variance shape must match spectra")
             if not np.all(np.isfinite(bv)) or np.any(bv < 0):
@@ -136,7 +150,7 @@ class AbundanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "values", readonly(self.values))
         v = self.values
         if v.ndim != 2:
             raise ValueError("values must be an N x R matrix")
@@ -166,8 +180,9 @@ def center(img: HyperImage) -> tuple[HyperImage, np.ndarray]:
     if img.centered:
         raise ValueError("image is already centered")
     mean = img.pixels.mean(axis=0)
-    out = HyperImage(img.pixels - mean, centered=True, mean_spectrum=mean)
-    return out, mean
+    pixels = img.pixels - mean
+    pixels.flags.writeable = False  # handed to the new image without a copy
+    return HyperImage(pixels, centered=True, mean_spectrum=mean), mean
 
 
 def uncenter(img: HyperImage) -> HyperImage:
@@ -193,7 +208,7 @@ def save_matrix(matrix: np.ndarray, path, fmt: str = "binary") -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<QQ", rows, cols))
-            fh.write(m.tobytes(order="C"))
+            fh.write(m.data)
     elif fmt == "csv":
         with open(path, "w") as fh:
             fh.write(f"{rows},{cols}\n")
@@ -219,12 +234,14 @@ def load_matrix(path) -> np.ndarray:
             if rows == 0 or cols == 0 or rows * cols > 2**60:
                 raise DimensionOverflow(f"{path}: implausible dimensions {rows}x{cols}")
             want = rows * cols * 8
-            payload = fh.read(want)
-            if len(payload) != want:
-                raise TruncatedPayload(
-                    f"{path}: expected {want} payload bytes, got {len(payload)}"
-                )
-            return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+            got = os.fstat(fh.fileno()).st_size - fh.tell()
+            if got >= want:
+                # read straight into the result, no intermediate bytes object
+                out = np.empty((rows, cols), dtype="<f8")
+                got = fh.readinto(out.data.cast("B"))
+            if got < want:
+                raise TruncatedPayload(f"{path}: expected {want} payload bytes, got {got}")
+            return out
         # Binary-looking files with a wrong tag are rejected rather than fed
         # to the CSV parser.
         if len(head) == 8 and not _looks_like_csv(head):

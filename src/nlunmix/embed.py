@@ -144,10 +144,12 @@ def _nearest_neighbors(Y: np.ndarray, K: int) -> np.ndarray:
     neighbors = np.empty((n, K), np.int64)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        # same terms in the same order as the dense matrix, so rounding (and
-        # with it every near-tie) comes out as it did there
-        d2 = sq[start:stop, None] + sq[None, :]
-        d2 -= 2.0 * (Y[start:stop] @ Y.T)
+        # (sq_i + sq_j) + (-2 y_i.y_j) rounds exactly as the dense matrix's
+        # sq_i + sq_j - 2 y_i.y_j did, so every near-tie comes out as there;
+        # doubling the product in place keeps one block-sized temporary
+        d2 = Y[start:stop] @ Y.T
+        d2 *= -2.0
+        d2 += sq[start:stop, None] + sq[None, :]
         local = np.arange(stop - start)
         d2[local, start + local] = np.inf
         kept = np.argpartition(d2, K - 1, axis=1)[:, :K]

@@ -8,12 +8,12 @@ per-band predictive variances for confidence intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EndmemberSet
-from .model import LatentState, WoodburySolver, psi, psi_batch
+from .model import LatentState, psi, psi_batch
 
 SIMPLEX_TOL = 1e-9
 
@@ -21,40 +21,46 @@ SIMPLEX_TOL = 1e-9
 @dataclass(frozen=True)
 class GpPredictor:
     """Immutable prediction context: fitted state, spectral map, vertex map,
-    training residuals, and the shared covariance factorization."""
+    and D-sized statistics of the training pixels.
+
+    ``Yc`` (the N x L centered training pixels) is only read while the
+    predictor is built.  From the thin SVD C = W S V^T of C = psi(X) U it
+    keeps V^T, the per-direction weights S / (s2 S^2 + sigma2) and
+    sigma2 / (s2 S^2 + sigma2), and the k x L projection W^T Ybar =
+    W^T Yc - S V^T P^T of the residual Ybar = Yc - C P^T; after that the
+    predictor holds no array with N rows besides the state's latents.
+    """
 
     state: LatentState
     spectral_map: np.ndarray  # L x D rows p_l
     v_r: np.ndarray  # R x R, columns are latent vertices
     mean_spectrum: np.ndarray  # L, added back to predictions
-    Yc: np.ndarray  # N x L centered training pixels
+    Yc: np.ndarray = field(repr=False, compare=False)  # N x L, dropped once read
 
     def __post_init__(self):
         P = np.array(self.spectral_map, float)
         vr = np.array(self.v_r, float)
         mean = np.array(self.mean_spectrum, float).reshape(-1)
-        Yc = np.array(self.Yc, float)
+        Yc = np.asarray(self.Yc, float)
         R = self.state.n_endmembers
         D = self.state.U.shape[0]
         if P.shape != (Yc.shape[1], D) or vr.shape != (R, R):
             raise ValueError("inconsistent predictor shapes")
         if mean.shape[0] != Yc.shape[1] or Yc.shape[0] != self.state.n_pixels:
             raise ValueError("inconsistent predictor shapes")
-        for a in (P, vr, mean, Yc):
+        s2, sigma2 = self.state.s2, self.state.sigma2
+        W, S, Vt = np.linalg.svd(psi_batch(self.state.X) @ self.state.U, full_matrices=False)
+        evals = s2 * S**2 + sigma2  # eigenvalues of Sigma on W's columns
+        stats = {
+            "_Vt": Vt,
+            "_gain": S / evals,
+            "_noise_share": sigma2 / evals,
+            "_WtYbar": W.T @ Yc - S[:, None] * (Vt @ P.T),
+        }
+        for name, a in dict(stats, spectral_map=P, v_r=vr, mean_spectrum=mean).items():
             a.flags.writeable = False
-        object.__setattr__(self, "spectral_map", P)
-        object.__setattr__(self, "v_r", vr)
-        object.__setattr__(self, "mean_spectrum", mean)
-        object.__setattr__(self, "Yc", Yc)
-        C = psi_batch(self.state.X) @ self.state.U
-        solver = WoodburySolver(C, self.state.s2, self.state.sigma2)
-        resid = Yc - C @ P.T
-        si_resid = solver.solve(resid)
-        for a in (C, resid, si_resid):
-            a.flags.writeable = False
-        object.__setattr__(self, "_C", C)
-        object.__setattr__(self, "_solver", solver)
-        object.__setattr__(self, "_si_resid", si_resid)
+            object.__setattr__(self, name, a)
+        object.__delattr__(self, "Yc")
 
 
 def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +68,15 @@ def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, 
     ``alpha``.
 
     The returned mean is in centered coordinates; the variance is shared
-    across bands.  Raw variances may carry tiny negative rounding noise;
-    they are returned unclipped.
+    across bands.  With u = U^T psi(x*) and Sigma = s2 C C^T + sigma2 I,
+    the mean P u + s2 Ybar^T Sigma^{-1} C u and the variance
+    s2 u^T u - s2^2 u^T C^T Sigma^{-1} C u are evaluated on the SVD
+    directions of C: the mean as P u + s2 (W^T Ybar)^T diag(S / (s2 S^2 +
+    sigma2)) V^T u, the variance as s2 times the sum of
+    sigma2 / (s2 S^2 + sigma2) (V^T u)_k^2 plus the squared norm of u
+    outside V's span.  Nothing is divided by sigma2, so both stay accurate
+    when s2 ||C||^2 >> sigma2, and the variance is a sum of nonnegative
+    terms.
     """
     alpha = np.asarray(alpha, float).reshape(-1)
     R = pred.state.n_endmembers
@@ -71,22 +84,20 @@ def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, 
         raise ValueError(f"alpha must have length {R}")
     if abs(alpha.sum() - 1.0) > SIMPLEX_TOL or alpha.min() < -SIMPLEX_TOL:
         raise ValueError("alpha must lie on the probability simplex")
-    x_star = pred.v_r @ alpha
-    u_psi = pred.state.U.T @ psi(x_star)  # D
-    prior_mean = pred.spectral_map @ u_psi  # L
-    kappa = pred.state.s2 * (pred._C @ u_psi)  # N
-    sigma_star2 = pred.state.s2 * float(u_psi @ u_psi)
-    mu = prior_mean + pred._si_resid.T @ kappa
-    var_scalar = sigma_star2 - float(kappa @ pred._solver.solve(kappa))
-    var = np.full(mu.shape, var_scalar)
-    return mu, var
+    s2 = pred.state.s2
+    u_psi = pred.state.U.T @ psi(pred.v_r @ alpha)  # D
+    vu = pred._Vt @ u_psi
+    outside = u_psi - pred._Vt.T @ vu
+    mu = pred.spectral_map @ u_psi + s2 * (pred._WtYbar.T @ (pred._gain * vu))
+    var_scalar = s2 * (float(pred._noise_share @ vu**2) + float(outside @ outside))
+    return mu, np.full(mu.shape, var_scalar)
 
 
 def extract_endmembers(pred: GpPredictor) -> EndmemberSet:
     """Predicted spectra at the R unit abundance vectors, un-centered,
     with per-band posterior variances attached."""
     R = pred.state.n_endmembers
-    L = pred.Yc.shape[1]
+    L = pred.spectral_map.shape[0]
     spectra = np.empty((L, R))
     variances = np.empty((L, R))
     for r in range(R):
@@ -94,7 +105,7 @@ def extract_endmembers(pred: GpPredictor) -> EndmemberSet:
         alpha[r] = 1.0
         mu, var = predict_spectrum(alpha, pred)
         spectra[:, r] = mu + pred.mean_spectrum
-        variances[:, r] = np.maximum(var, 0.0)
+        variances[:, r] = var
     return EndmemberSet(
         spectra,
         names=tuple(f"gp_{r + 1}" for r in range(R)),

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
+from .core import readonly
 from .embed import LleWeights, PcaBasis
 
 SIGMA2_FLOOR = 1e-12
@@ -214,7 +215,7 @@ class ModelContext:
     bounds: Bounds = field(default_factory=Bounds)
 
     def __post_init__(self):
-        Yc = np.array(self.Yc, float)
+        Yc = readonly(self.Yc)  # shared, not copied, when already read-only
         if Yc.ndim != 2:
             raise ValueError("Yc must be N x L")
         if not self.gamma >= 0:
@@ -223,7 +224,6 @@ class ModelContext:
             raise ValueError("basis band count must match Yc")
         if self.lle.n_pixels != Yc.shape[0]:
             raise ValueError("LLE weight rows must match pixel count")
-        Yc.flags.writeable = False
         object.__setattr__(self, "Yc", Yc)
         M = self.lle.residual_operator()
         object.__setattr__(self, "_resid_op", M)

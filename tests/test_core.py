@@ -1,4 +1,6 @@
 """Tests for domain types, centering, and matrix I/O."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 5.0
 
+    def test_only_read_only_owning_arrays_are_shared(self):
+        writeable = np.ones((3, 2))
+        img = HyperImage(writeable)
+        writeable[0, 0] = 5.0  # the caller's later writes do not leak in
+        assert img.pixels[0, 0] == 1.0 and writeable.flags.writeable
+        owned = np.ones((3, 2))
+        owned.flags.writeable = False
+        assert HyperImage(owned).pixels is owned
+        view = owned[:2]  # read-only, but its memory belongs to another array
+        assert HyperImage(view).pixels is not view
+
+    def test_center_hands_its_pixels_on_without_a_copy(self):
+        out, _ = center(HyperImage(np.array([[1.0, 2.0], [3.0, 5.0]])))
+        assert HyperImage(out.pixels, centered=True, mean_spectrum=out.mean_spectrum).pixels is out.pixels
+
 
 class TestMatrixIO:
     def test_single_value_round_trip(self, tmp_path):
@@ -126,6 +143,34 @@ class TestMatrixIO:
         save_matrix(m, p)
         assert p.stat().st_size == 8 + 16 + 2500 * 160 * 8
         assert np.array_equal(load_matrix(p), m)
+
+    def test_round_trip_holds_one_copy(self, tmp_path):
+        # N=4000, L=160 (5.12 MB): writing used to copy the matrix into a
+        # bytes object (5.1 MB peak) and reading held the payload bytes and
+        # the array copied from them (10.2 MB peak); now the write copies
+        # nothing and the read allocates only the result
+        m = np.random.default_rng(3).normal(size=(4000, 160))
+        p = tmp_path / "m.nlm"
+        tracemalloc.start()
+        try:
+            save_matrix(m, p)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_matrix(p)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m) and back.flags.writeable
+        assert write_peak < 0.5 * m.nbytes
+        assert read_peak < 1.5 * m.nbytes
+
+    def test_truncated_header_dimensions_fail_before_allocating(self, tmp_path):
+        import struct
+
+        p = tmp_path / "m.nlm"
+        p.write_bytes(b"NLUNMIX1" + struct.pack("<QQ", 2**29, 2**30) + b"\0" * 64)
+        with pytest.raises(TruncatedPayload, match="got 64"):
+            load_matrix(p)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

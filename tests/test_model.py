@@ -37,6 +37,16 @@ def tiny_ctx(rng, n=10, l=7, R=2, gamma=1.0):
     return ModelContext(Yc=Yc, pbar=pb, lle=lle, gamma=gamma)
 
 
+def test_context_shares_read_only_pixels():
+    rng = np.random.default_rng(0)
+    ctx = tiny_ctx(rng)
+    Yc = ctx.Yc.copy()
+    Yc.flags.writeable = False
+    assert ModelContext(Yc=Yc, pbar=ctx.pbar, lle=ctx.lle).Yc is Yc
+    writeable = ctx.Yc.copy()
+    assert ModelContext(Yc=writeable, pbar=ctx.pbar, lle=ctx.lle).Yc is not writeable
+
+
 def random_state(rng, n, R, s2=0.5, sigma2=0.3):
     D = feature_dim(R)
     return LatentState(

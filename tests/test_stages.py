@@ -1,13 +1,15 @@
 """Each unmixing stage is written once in ``pipeline``: the CLI stage
 commands and ``run_pipeline`` give the same results on the same scene, and
 configs, recipes and stage metadata share one ``key=value`` reader."""
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from nlunmix.cli import main
+from nlunmix.cli import _load_lambda_csv, main
 from nlunmix.core import load_matrix
+from nlunmix.embed import lle_weights
 from nlunmix.metrics import rnmse, sam
 from nlunmix.pipeline import (
     ExperimentConfig,
@@ -78,6 +80,41 @@ def test_bad_meta_line_fails_with_stage_and_line(cli_chain, tmp_path, capsys):
     assert run(["fit", "--in", bad, "--max-iter", 5, "--out", tmp_path / "fit"]) == 1
     err = capsys.readouterr().err
     assert "[stage: fit]" in err and "line 2" in err
+
+
+def test_lambda_csv_bytes_and_round_trip(cli_chain):
+    # the per-weight writer the array codec replaced, as the byte reference
+    lle = lle_weights(load_matrix(cli_chain / "reduce" / "yc.nlm"), K=R)
+    lines = ["i,j,weight\n"]
+    for i in range(lle.n_pixels):
+        for j, w in zip(lle.neighbors[i], lle.weights[i]):
+            lines.append(f"{i},{j},{format(w, '.17g')}\n")
+    path = cli_chain / "reduce" / "lambda.csv"
+    assert path.read_text() == "".join(lines)
+    back = _load_lambda_csv(path, N, R)
+    assert np.array_equal(back.neighbors, lle.neighbors)
+    assert np.array_equal(back.weights, lle.weights)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows + [f"{N},0,0.5"], f"pixel index {N} outside \\[0, {N}\\)"),
+        (lambda rows: ["0,-1,0.5"] + rows[1:], f"neighbour index -1 outside \\[0, {N}\\)"),
+        (lambda rows: rows[:-1], f"pixel {N - 1} has {R - 1} weights, expected exactly {R}"),
+        (lambda rows: ["0,1"] + rows[1:], "columns"),
+    ],
+    ids=["pixel-index", "neighbour-index", "missing-row", "short-row"],
+)
+def test_bad_lambda_csv_fails_with_stage_and_file(cli_chain, tmp_path, capsys, edit, message):
+    bad = tmp_path / "reduce"
+    shutil.copytree(cli_chain / "reduce", bad)
+    header, *rows = (bad / "lambda.csv").read_text().splitlines()
+    (bad / "lambda.csv").write_text("\n".join([header] + edit(rows)) + "\n")
+    assert run(["fit", "--in", bad, "--max-iter", 5, "--out", tmp_path / "fit"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"nlunmix: [stage: fit] {bad / 'lambda.csv'}: ")
+    assert re.search(message, err), err
 
 
 class TestParseKv:
