@@ -250,6 +250,104 @@ class TestBlockedNeighborSearch:
         assert peak < 48 * 2**20
 
 
+def _low_rank(n, l=40, r=3, sigma2=1e-4, seed=20):
+    """Centered linear mixtures of r endmembers plus white noise, like the
+    bench scenes."""
+    rng = np.random.default_rng(seed)
+    Y = rng.dirichlet(np.ones(r), n) @ rng.uniform(0.0, 1.0, (r, l))
+    Y += rng.normal(scale=np.sqrt(sigma2), size=Y.shape)
+    return Y - Y.mean(axis=0)
+
+
+def _record_scans(monkeypatch):
+    """Wrap the block-distance helper; return the list of (rows, cols,
+    shape) of its calls, rows as given (a slice in the all-pairs scan)."""
+    calls = []
+    scan = embed._scan_distances
+
+    def recorded(Y, sq, rows, cols=None):
+        d2 = scan(Y, sq, rows, cols)
+        calls.append((rows, cols, d2.shape))
+        return d2
+
+    monkeypatch.setattr(embed, "_scan_distances", recorded)
+    return calls
+
+
+class TestPrunedNeighborSearch:
+    """The k-d tree search returns the dense stable sort's neighbors, so the
+    weights are those of per-row solves on them, bit for bit."""
+
+    @staticmethod
+    def _assert_dense(Y, K):
+        w = lle_weights(Y, K)
+        ref = _dense_neighbors(Y, K)[0]
+        assert np.array_equal(w.neighbors, ref)
+        assert np.array_equal(w.weights, _weights_per_row(Y, ref))
+
+    def test_low_rank_scene(self):
+        self._assert_dense(_low_rank(3000), 3)
+
+    def test_isotropic_data_scans_all_columns(self, monkeypatch):
+        # in 8-D the 3-D bound leaves about a quarter of the pixels as each
+        # row's candidates, so leaves fall back to all N columns
+        calls = _record_scans(monkeypatch)
+        self._assert_dense(np.random.default_rng(11).normal(size=(4000, 8)), 3)
+        assert any(cols is None and not isinstance(rows, slice) for rows, cols, _ in calls)
+
+    @pytest.mark.parametrize("K", [1, 3, 49])
+    def test_identical_pixels(self, monkeypatch, K):
+        calls = _record_scans(monkeypatch)
+        Y = np.tile(np.random.default_rng(13).normal(size=6), (50, 1))
+        self._assert_dense(Y, K)
+        assert any(isinstance(rows, slice) for rows, _, _ in calls)  # all tied
+
+    def test_rank_one_data(self):
+        rng = np.random.default_rng(14)
+        self._assert_dense(np.outer(rng.normal(size=300), rng.uniform(0.1, 1.0, 12)), 3)
+
+    def test_k_is_n_minus_one(self):
+        self._assert_dense(_low_rank(60, l=10), 59)
+
+    @pytest.mark.parametrize("entries", [2**13, 2**14])
+    def test_small_blocks_split_candidate_sets(self, monkeypatch, entries):
+        # 2**14: each leaf's candidate columns are scored in several row
+        # parts; 2**13: most leaves' candidates exceed the gathering budget
+        # and they are scored against all N in parts of two or three rows
+        Y = _low_rank(3000)
+        ref = lle_weights(Y, 3)
+        calls = _record_scans(monkeypatch)
+        monkeypatch.setattr(embed, "KNN_BLOCK_ENTRIES", entries)
+        w = lle_weights(Y, 3)
+        assert all(rows * cols <= max(entries, len(Y)) for _, _, (rows, cols) in calls)
+        assert any(rows < embed._LEAF_ROWS // 2 for _, _, (rows, _) in calls)
+        assert np.array_equal(w.neighbors, ref.neighbors)
+        assert np.array_equal(w.weights, ref.weights)
+        assert np.array_equal(ref.neighbors, _dense_neighbors(Y, 3)[0])
+
+    def test_scores_a_fraction_of_the_pairs_in_bounded_memory(self, monkeypatch):
+        # dense distances at N = 20,000 would be 3.2 GB; the search keeps a
+        # few blocks of at most KNN_BLOCK_ENTRIES entries plus O(N) arrays
+        Y = _low_rank(20_000)
+        calls = _record_scans(monkeypatch)
+        tracemalloc.start()
+        try:
+            lle_weights(Y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rows * cols for _, _, (rows, cols) in calls) < len(Y) ** 2 / 10
+        assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        Y = np.random.default_rng(15).normal(size=(20, 4))
+        Y[7, 2] = bad
+        Y[12, 0] = np.nan
+        with pytest.raises(ValueError, match="pixel 7 "):
+            lle_weights(Y, 3)
+
+
 class TestInitLatents:
     def _inputs(self, seed=0, n=60, l=8, R=3):
         rng = np.random.default_rng(seed)
