@@ -2,9 +2,10 @@
 
 Works on any smooth objective supplied as a value-and-gradient callable.
 Curvature along the search direction is probed with one extra gradient
-evaluation; a multiplicative Levenberg-Marquardt scale keeps the local
-quadratic model trustworthy, so no line search is needed.  Accepted steps
-never increase the objective.
+evaluation, through a gradient-only callable when the caller has one; a
+multiplicative Levenberg-Marquardt scale keeps the local quadratic model
+trustworthy, so no line search is needed.  Accepted steps never increase
+the objective.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 FG = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Gradient = Callable[[np.ndarray], np.ndarray]
 
 MAX_CONSECUTIVE_FAILURES = 20
 SCALE_MAX = 1e20
@@ -24,12 +26,19 @@ class ScgError(RuntimeError):
     """Optimization aborted (repeated non-finite or rejected steps)."""
 
 
+class ScgStartError(ScgError, ValueError):
+    """The objective or its gradient is not finite at the starting point."""
+
+
 @dataclass(frozen=True)
 class ScgResult:
     trace: np.ndarray  # accepted objective values, initial value first
     iterations: int
     converged: bool
     grad_norm: float
+    evaluations: int = 0  # value-and-gradient calls of fg, the start included
+    probes: int = 0  # calls of the gradient-only entry
+    rejected: int = 0  # iterations that took no step
 
 
 def scg(
@@ -39,23 +48,32 @@ def scg(
     tol: float = 1e-8,
     sigma0: float = 1e-4,
     scale0: float = 1e-4,
+    gradient: Gradient | None = None,
 ) -> tuple[np.ndarray, ScgResult]:
     """Minimize ``fg`` starting at ``w0``.
+
+    Each iteration evaluates value and gradient at one trial point; after
+    an accepted step it also probes the curvature along the new direction
+    with one gradient, whose value SCG never reads.  ``gradient``, when
+    given, must return exactly ``fg(w)[1]``: the probes then call it instead
+    of ``fg``, and the run takes the same path at less cost.  Every gradient
+    returned must be a fresh array, because the previous one is kept.
 
     Stops at ``max_iter`` iterations, or as converged once
     |delta f| < tol * (1 + |f|) holds on three consecutive accepted steps
     (immediately for an infinite tol), or when the gradient vanishes.
     Non-finite trial objectives are treated as rejected steps, which grow
     the scale and shrink the next step; after 20 consecutive rejections the
-    run aborts with a diagnostic.
+    run aborts with a diagnostic.  A non-finite start raises
+    :class:`ScgStartError`.
     """
     w = np.array(w0, float)
     f, g = fg(w)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise ScgError("objective or gradient not finite at the starting point")
+        raise ScgStartError("objective or gradient not finite at the starting point")
     trace = [f]
     if np.isinf(tol):
-        return w, ScgResult(np.asarray(trace), 0, True, float(np.linalg.norm(g)))
+        return w, ScgResult(np.asarray(trace), 0, True, float(np.linalg.norm(g)), evaluations=1)
 
     n = w.size
     d = -g
@@ -68,6 +86,7 @@ def scg(
     failures = 0
     converged = False
     k = 0
+    evaluations, probes = 1, 0
 
     while k < max_iter:
         k += 1
@@ -85,7 +104,12 @@ def scg(
             step = sigma0 / np.sqrt(kappa)
             probed = None
             for _ in range(4):
-                _, g_probe = fg(w + step * d)
+                if gradient is None:
+                    evaluations += 1
+                    g_probe = fg(w + step * d)[1]
+                else:
+                    probes += 1
+                    g_probe = gradient(w + step * d)
                 if np.all(np.isfinite(g_probe)):
                     probed = float(d @ (g_probe - g)) / step
                     break
@@ -108,7 +132,9 @@ def scg(
             scale = scale - theta / kappa
         alpha = -mu / delta
 
-        f_trial, g_trial = fg(w + alpha * d)
+        evaluations += 1
+        w_trial = w + alpha * d
+        f_trial, g_trial = fg(w_trial)
         if np.isfinite(f_trial):
             comparison = 2.0 * (f_trial - f) / (alpha * mu)
         else:
@@ -124,7 +150,7 @@ def scg(
             failures = 0
             n_success += 1
             df = f - f_trial
-            w = w + alpha * d
+            w = w_trial
             g_old = g
             f, g = f_trial, g_trial
             trace.append(f)
@@ -160,4 +186,7 @@ def scg(
         iterations=k,
         converged=converged,
         grad_norm=float(np.linalg.norm(g)),
+        evaluations=evaluations,
+        probes=probes,
+        rejected=k - (len(trace) - 1),
     )

@@ -3,6 +3,7 @@ and spectral-map recovery."""
 import numpy as np
 import pytest
 
+import nlunmix.model as model
 from nlunmix.embed import PcaBasis, lle_weights, pca_basis
 from nlunmix.model import (
     LatentState,
@@ -322,6 +323,67 @@ class TestGradient:
         state = random_state(rng, 6, 2, sigma2=1e8)
         with pytest.raises(ValueError):
             grad_neg_log_posterior(state, ctx)
+
+
+class TestObjectiveEntries:
+    """The packed callable's two entries share one set of buffers; each must
+    still return fresh, bit-identical gradients."""
+
+    def _setup(self, seed, R):
+        rng = np.random.default_rng(seed)
+        ctx = tiny_ctx(rng, n=12, l=9, R=R, gamma=1.7)
+        states = [random_state(rng, 12, R, s2=float(rng.uniform(0.2, 1.5))) for _ in range(3)]
+        return ctx, objective_function(ctx, 12, R), [pack(st) for st in states]
+
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_gradient_entry_is_the_full_gradient(self, R):
+        _, fg, ws = self._setup(20 + R, R)
+        for w in ws:
+            value, g = fg(w)
+            assert np.isfinite(value)
+            assert np.array_equal(fg.gradient(w), g)
+
+    def test_returned_gradients_are_not_overwritten(self):
+        _, fg, (w1, w2, w3) = self._setup(23, 3)
+        g_full = fg(w1)[1]
+        g_probe = fg.gradient(w1)
+        kept = g_full.copy()
+        fg(w2)
+        fg.gradient(w3)
+        assert g_full is not g_probe
+        assert np.array_equal(g_full, kept) and np.array_equal(g_probe, kept)
+
+    def test_rejected_states_give_nan_gradients(self, monkeypatch):
+        _, fg, (w, _, _) = self._setup(24, 3)
+
+        def assert_rejected(x):
+            value, g = fg(x)
+            assert value == np.inf and g.shape == x.shape and np.all(np.isnan(g))
+            g = fg.gradient(x)
+            assert g.shape == x.shape and np.all(np.isnan(g))
+
+        assert_rejected(pack(random_state(np.random.default_rng(0), 12, 3, s2=1e9)))
+
+        def broken_core(*args):
+            raise WoodburyError("forced breakdown", pivot=2)
+
+        # the objective builds its solver through the module name
+        monkeypatch.setattr(model, "WoodburySolver", broken_core)
+        assert_rejected(w)
+
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_state_functions_match_the_packed_callable(self, R):
+        ctx, fg, ws = self._setup(25 + R, R)
+        for w in ws:
+            X, U, s2, sigma2 = unpack(w, 12, R)
+            state = LatentState(X=X, U=U, s2=s2, sigma2=sigma2)
+            value, g = fg(w)
+            grads = grad_neg_log_posterior(state, ctx)
+            assert neg_log_posterior(state, ctx) == value
+            packed = np.concatenate([
+                grads["X_free"].ravel(), grads["U"].ravel(), [grads["log_s2"], grads["log_sigma2"]],
+            ])
+            assert np.array_equal(packed, g)
 
 
 class TestPackUnpack:

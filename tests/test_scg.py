@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import nlunmix.model as model
 from nlunmix.core import center
 from nlunmix.embed import init_latents, lle_weights, pca_basis
 from nlunmix.metrics import are
@@ -14,7 +15,7 @@ from nlunmix.model import (
     reconstruct,
     scg_optimize,
 )
-from nlunmix.scene import SceneRecipe, generate_scene
+from nlunmix.scene import SceneRecipe, gamma_matrix, generate_scene
 from nlunmix.scg import ScgError, scg
 
 
@@ -86,13 +87,46 @@ class TestScgOnQuadratics:
         with pytest.raises(ScgError):
             scg(trap, np.zeros(2), max_iter=500, tol=1e-10)
 
+    def test_gradient_entry_takes_the_probes(self):
+        # the same Rosenbrock run with and without a gradient-only entry: the
+        # path is identical, and the counts say which entry did each call
+        def rosenbrock(w):
+            x, y = w
+            f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+            return f, np.array([-2 * (1 - x) - 400 * x * (y - x * x), 200 * (y - x * x)])
+
+        calls = {"fg": 0, "gradient": 0}
+
+        def fg(w):
+            calls["fg"] += 1
+            return rosenbrock(w)
+
+        def gradient(w):
+            calls["gradient"] += 1
+            return rosenbrock(w)[1]
+
+        w0 = np.array([-1.2, 1.0])
+        w_full, full = scg(fg, w0, max_iter=300, tol=1e-14)
+        assert (full.evaluations, full.probes) == (calls["fg"], 0)
+        calls["fg"] = 0
+        w_lean, lean = scg(fg, w0, max_iter=300, tol=1e-14, gradient=gradient)
+        assert (lean.evaluations, lean.probes) == (calls["fg"], calls["gradient"])
+        assert np.array_equal(w_lean, w_full)
+        assert np.array_equal(lean.trace, full.trace)
+        assert lean.iterations == full.iterations
+        assert lean.evaluations + lean.probes == full.evaluations
+        assert lean.probes > 0 and lean.rejected > 0
+        assert full.rejected == lean.rejected == full.iterations - (len(full.trace) - 1)
+
 
 class LmmFixture:
-    """Small linear scene plus the prepared fit context."""
+    """Small linear scene plus the prepared fit context.  Interaction
+    coefficients ``gbm`` make it a GBM scene without pure pixels instead."""
 
-    def __init__(self, seed=0, n=100, l=20, sigma2=1e-4, R=3, gamma=1e3):
+    def __init__(self, seed=0, n=100, l=20, sigma2=1e-4, R=3, gamma=1e3, gbm=None):
+        mixing = {} if gbm is None else dict(model="gbm", amax=0.9, gamma=gamma_matrix(R, gbm))
         self.recipe = SceneRecipe(
-            model="lmm", R=R, L=l, N=n, sigma2=sigma2, seed=seed
+            **{"model": "lmm", **mixing}, R=R, L=l, N=n, sigma2=sigma2, seed=seed
         )
         self.scene = generate_scene(self.recipe)
         self.centered, self.mean = center(self.scene.image)
@@ -105,6 +139,24 @@ class LmmFixture:
         self.x0 = init_latents(
             self.centered.pixels, self.pbar.basis[:, : R - 1]
         )
+
+
+def hide_gradient_entry(factory, calls=None):
+    """An objective factory whose callables have no gradient-only entry, so
+    SCG probes the curvature with full evaluations; each call's point is
+    appended to ``calls`` when given."""
+
+    def objective_function(*args):
+        fg = factory(*args)
+
+        def plain(w):
+            if calls is not None:
+                calls.append(w)
+            return fg(w)
+
+        return plain
+
+    return objective_function
 
 
 class TestLatentFit:
@@ -136,3 +188,44 @@ class TestLatentFit:
         assert report.iterations == 0
         assert np.array_equal(state.X, state0.X)
         assert report.converged
+
+    def test_start_is_evaluated_once(self, monkeypatch):
+        fx = LmmFixture(seed=2, n=40, l=10)
+        calls = []
+        monkeypatch.setattr(model, "objective_function",
+                            hide_gradient_entry(model.objective_function, calls))
+        _, report = scg_optimize(initial_state(fx.ctx, fx.x0), fx.ctx, max_iter=100, tol=np.inf)
+        assert len(calls) == report.evaluations == 1
+
+    def test_nonfinite_start_raises_value_error(self):
+        fx = LmmFixture(seed=2, n=40, l=10)
+        state0 = initial_state(fx.ctx, fx.x0)
+        outside = model.LatentState(X=state0.X, U=state0.U, s2=1e9, sigma2=state0.sigma2)
+        with pytest.raises(ValueError, match="not finite"):
+            scg_optimize(outside, fx.ctx, max_iter=10)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        lambda: LmmFixture(),
+        lambda: LmmFixture(seed=4, n=80, l=16, gbm=[0.9, 0.5, 0.3]),
+    ],
+    ids=["lmm", "gbm"],
+)
+def test_gradient_only_probes_keep_the_trajectory(fixture, monkeypatch):
+    # the fit through the gradient-only probe entry must take exactly the path
+    # of the fit that probes with full evaluations
+    fx = fixture()
+    state0 = initial_state(fx.ctx, fx.x0)
+    lean, lean_report = scg_optimize(state0, fx.ctx, max_iter=400, tol=1e-12)
+    monkeypatch.setattr(model, "objective_function", hide_gradient_entry(model.objective_function))
+    full, full_report = scg_optimize(state0, fx.ctx, max_iter=400, tol=1e-12)
+    assert np.array_equal(lean.X, full.X)
+    assert np.array_equal(lean.U, full.U)
+    assert lean.s2 == full.s2 and lean.sigma2 == full.sigma2
+    assert np.array_equal(lean_report.trace, full_report.trace)
+    assert lean_report.iterations == full_report.iterations
+    assert lean_report.rejected == full_report.rejected
+    assert full_report.probes == 0 and lean_report.probes > 0
+    assert lean_report.evaluations + lean_report.probes == full_report.evaluations
