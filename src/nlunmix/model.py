@@ -20,6 +20,30 @@ from .core import readonly
 from .embed import LleWeights, PcaBasis
 
 SIGMA2_FLOOR = 1e-12
+# Most bytes of an N x (L + D) row block: about half of a 2 MiB L2 cache.
+# The objective's row-wise phases (the residual, the solve's
+# back-substitution and the gradient's N x D combination) take rows in
+# blocks of this size, so that a block's intermediates are still in cache
+# when the next operation of the phase reads them.  Row-wise arithmetic does
+# not depend on the split, so results do not depend on this constant.
+ROW_BLOCK_BYTES = 2**20
+
+
+def _rows_per_block(width: int) -> int:
+    """Rows of a float64 array ``width`` columns wide that one block holds,
+    at least two (see :func:`_row_blocks`)."""
+    return max(2, ROW_BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _row_blocks(n: int, step: int) -> list[slice]:
+    """Consecutive slices of ``step`` rows covering n rows.  A trailing
+    single row joins the block before it: numpy computes a one-row matrix
+    product with a matrix-vector kernel, which rounds differently from the
+    same row inside a matrix product.  So n <= step + 1 is one block."""
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def feature_dim(R: int) -> int:
@@ -121,12 +145,20 @@ class WoodburySolver:
         """Sigma^{-1} B for an N-vector or N x k matrix B.
 
         ``out`` optionally receives the result (hot loops reuse buffers to
-        avoid churning large allocations)."""
+        avoid churning large allocations); it may be B itself.  The
+        projection W^T B onto the basis is one whole-array product; the
+        back-substitution (B - W inner) / sigma2 then runs over row blocks of
+        ``ROW_BLOCK_BYTES``, each finished while it is in cache.  The
+        result does not depend on the block size."""
         B = np.asarray(B, float)
         if self._basis is None:
             if out is None:
                 return B / self.sigma2
             np.divide(B, self.sigma2, out=out)
+            return out
+        if out is not None and np.may_share_memory(B, out):
+            # the back-substitution writes W inner into out before it reads B
+            out[...] = self.solve(B)
             return out
         WtB = self._basis.T @ B
         shrink = 1.0 - self.sigma2 / self._evals
@@ -135,11 +167,19 @@ class WoodburySolver:
         else:
             inner = shrink[:, None] * WtB
         if out is None:
-            out = self._basis @ inner
-        else:
+            out = np.empty(B.shape)
+        n = B.shape[0]
+        step = _rows_per_block(B.shape[1] if B.ndim == 2 else 1)
+        if n <= step + 1:  # one block (see _row_blocks)
             np.matmul(self._basis, inner, out=out)
-        np.subtract(B, out, out=out)
-        out /= self.sigma2
+            np.subtract(B, out, out=out)
+            out /= self.sigma2
+            return out
+        for rows in _row_blocks(n, step):
+            block = out[rows]
+            np.matmul(self._basis[rows], inner, out=block)
+            np.subtract(B[rows], block, out=block)
+            block /= self.sigma2
         return out
 
     def logdet(self) -> float:
@@ -277,9 +317,17 @@ def _blocks(v: np.ndarray, n_pixels: int, R: int):
 
 class _Workspace:
     """Buffers of one evaluation, kept for a whole fit so that evaluations
-    do not allocate their N-sized intermediates afresh."""
+    do not allocate their N-sized intermediates afresh, and the row block
+    views of the evaluation's row-wise phases, worked out once per fit.
 
-    def __init__(self, n_pixels: int, L: int, R: int):
+    A row block holds ``ROW_BLOCK_BYTES`` of an N x (L+D) row, one row more
+    when a single row is left over (see :func:`_row_blocks`); small scenes,
+    up to 789 rows at L = 160, D = 6, are one block.  The residual phase
+    forms each block of Ybar in the head of ``solved``, not yet in use, so
+    no buffer is added for it."""
+
+    def __init__(self, Yc: np.ndarray, R: int):
+        n_pixels, L = Yc.shape
         D = feature_dim(R)
         self.X = np.empty((n_pixels, R))
         self.Psi = np.empty((n_pixels, D))
@@ -290,6 +338,19 @@ class _Workspace:
         # right-hand sides [Ybar | C] and their solves, one pass each
         self.stacked = np.empty((n_pixels, L + D))
         self.solved = np.empty((n_pixels, L + D))
+        blocks = _row_blocks(n_pixels, _rows_per_block(L + D))
+        head = self.solved.reshape(-1)
+        # (Yc, C, Ybar scratch, stacked Ybar, stacked C) per block
+        self.residual_blocks = [
+            (Yc[rows], self.C[rows], head[: (rows.stop - rows.start) * L].reshape(-1, L),
+             self.stacked[rows, :L], self.stacked[rows, L:])
+            for rows in blocks
+        ]
+        # (Sigma^-1 Ybar, Sigma^-1 C, Gc, scratch) per block
+        self.gradient_blocks = [
+            (self.solved[rows, :L], self.solved[rows, L:], self.Gc[rows], self.scratch[rows])
+            for rows in blocks
+        ]
 
 
 def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
@@ -301,6 +362,15 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     ``want_value`` the terms only the value needs (the LLE residual, the
     log-determinant and the data fit) are skipped and nan is returned.
     The N x D and N x (L+D) intermediates live in ``ws``.
+
+    The row-wise phases run over the workspace's row blocks, so that each
+    block's intermediates stay in cache: Ybar = Yc - C P^T and the stacked
+    right-hand side, the solve's back-substitution, and the gradient's
+    Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P).  Every reduction over
+    the N pixels (W^T B in the solve, Q, the einsums, Psi^T Gc and the sums)
+    and the SVD stay whole-array calls: splitting a reduction changes its
+    rounding, while splitting rows does not.  So the result does not depend
+    on ``ROW_BLOCK_BYTES``.
     """
     if not _within_bounds(U, s2, sigma2, ctx.bounds):
         return None
@@ -309,15 +379,16 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     Psi = psi_batch(X, out=ws.Psi)
     C = np.matmul(Psi, U, out=ws.C)
     wb = WoodburySolver(C, s2, sigma2)
+    basis_t = ctx.pbar.basis.T
+    # Ybar is subtracted in a contiguous scratch and then copied: numpy's
+    # subtraction into the strided column block of ``stacked`` measured
+    # 1.1-1.6x slower on 400- and 789-row blocks, which sit in cache
+    for Yc_b, C_b, Ybar_b, stacked_y, stacked_c in ws.residual_blocks:
+        np.matmul(C_b, basis_t, out=Ybar_b)
+        np.subtract(Yc_b, Ybar_b, out=Ybar_b)
+        stacked_y[...] = Ybar_b
+        stacked_c[...] = C_b
     stacked, solved = ws.stacked, ws.solved
-    # Ybar is formed in the solve buffer, not yet in use, read as one
-    # contiguous N x L block: numpy's elementwise subtraction on the strided
-    # column block of ``stacked`` measured 3-4x slower at N=400, L=160
-    Ybar_c = solved.reshape(-1)[: n * L].reshape(n, L)
-    np.matmul(C, ctx.pbar.basis.T, out=Ybar_c)
-    np.subtract(ctx.Yc, Ybar_c, out=Ybar_c)
-    stacked[:, :L] = Ybar_c
-    stacked[:, L:] = C
     Ybar = stacked[:, :L]
     wb.solve(stacked, out=solved)
     SiY = solved[:, :L]
@@ -334,10 +405,17 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
         return value
 
     g_xfree, g_u, g_logs = _blocks(grad, n, R)
-    Q = Ybar.T @ SiC  # L x D
+    # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
+    # same single product over the pixels, which OpenBLAS runs 2-2.5x
+    # faster with the small dimension first and which came out bit-equal on
+    # every shape tried with one BLAS thread; the copy keeps Q C-ordered
+    Q = (SiC.T @ Ybar).T.copy()
     # dE/dC through Sigma and through Ybar, fused into one N x L product
-    Gc = np.multiply(s2 * L, SiC, out=ws.Gc)
-    Gc -= np.matmul(SiY, s2 * Q + ctx.pbar.basis, out=ws.scratch)
+    through_ybar = s2 * Q + ctx.pbar.basis
+    for SiY_b, SiC_b, Gc_b, scratch_b in ws.gradient_blocks:
+        np.multiply(s2 * L, SiC_b, out=Gc_b)
+        Gc_b -= np.matmul(SiY_b, through_ybar, out=scratch_b)
+    Gc = ws.Gc
     np.matmul(Psi.T, Gc, out=g_u)
     Gpsi = np.matmul(Gc, U.T, out=ws.scratch)
     GX = ws.GX
@@ -359,7 +437,7 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
 def neg_log_posterior(state: LatentState, ctx: ModelContext) -> float:
     """Negative log posterior up to an additive constant."""
     n, R = state.X.shape
-    ws = _Workspace(n, ctx.n_bands, R)
+    ws = _Workspace(ctx.Yc, R)
     value = _evaluate(state.X, state.U, state.s2, state.sigma2, ctx, ws)
     return np.inf if value is None else value
 
@@ -367,7 +445,7 @@ def neg_log_posterior(state: LatentState, ctx: ModelContext) -> float:
 def grad_neg_log_posterior(state: LatentState, ctx: ModelContext) -> dict:
     """Analytic gradient blocks over (free latents, U, log s2, log sigma2)."""
     n, R = state.X.shape
-    ws = _Workspace(n, ctx.n_bands, R)
+    ws = _Workspace(ctx.Yc, R)
     grad = np.empty(n * (R - 1) + feature_dim(R) ** 2 + 2)
     if _evaluate(state.X, state.U, state.s2, state.sigma2, ctx, ws, False, grad) is None:
         raise ValueError("state outside the prior bounds")
@@ -410,10 +488,13 @@ def objective_function(ctx: ModelContext, n_pixels: int, R: int):
     :func:`scg_optimize` passes it to :func:`~nlunmix.scg.scg` for the
     curvature probes.  Outside the prior bounds, or where the covariance
     core breaks down, the value is inf and the gradient all nan.  Every
-    evaluation of one callable reuses one set of buffers (see
-    ``_Workspace``); each returned gradient is a fresh array.
+    evaluation of one callable reuses one set of buffers and one set of row
+    blocks of ``ROW_BLOCK_BYTES`` (see ``_Workspace`` and
+    ``_evaluate``), so the constant is read when the callable is made; each
+    returned gradient is a fresh array.  Values and gradients do not depend
+    on the block size.
     """
-    ws = _Workspace(n_pixels, ctx.n_bands, R)
+    ws = _Workspace(ctx.Yc, R)
 
     def evaluate(w: np.ndarray, want_value: bool) -> tuple[float, np.ndarray]:
         X, U, s2, sigma2 = unpack(w, n_pixels, R, out=ws.X)

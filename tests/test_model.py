@@ -1,9 +1,12 @@
 """Oracle tests for the feature map, Woodbury algebra, objective, gradient,
 and spectral-map recovery."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nlunmix.model as model
+from nlunmix.core import center
 from nlunmix.embed import PcaBasis, lle_weights, pca_basis
 from nlunmix.model import (
     LatentState,
@@ -23,6 +26,7 @@ from nlunmix.model import (
     reconstruct,
     unpack,
 )
+from nlunmix.scene import SceneRecipe, generate_scene
 
 
 def random_sum_to_one(rng, n, R, scale=0.4):
@@ -202,6 +206,20 @@ class TestWoodbury:
             WoodburySolver(C, s2=-1.0, sigma2=0.1)
         with pytest.raises(ValueError):
             WoodburySolver(C, s2=1.0, sigma2=0.0)
+
+    @pytest.mark.parametrize("s2", [0.0, 0.5])
+    @pytest.mark.parametrize("shape", [(50,), (50, 4)], ids=["1d", "2d"])
+    def test_solve_in_place(self, s2, shape):
+        rng = np.random.default_rng(6)
+        C = rng.normal(size=(50, 4))
+        wb = WoodburySolver(C, s2, 0.3)
+        B = rng.normal(size=shape)
+        ref = np.linalg.solve(s2 * (C @ C.T) + 0.3 * np.eye(50), B)
+        expected = wb.solve(B)
+        got = wb.solve(B, out=B)
+        assert got is B
+        assert np.array_equal(got, expected)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
 
 
 class TestNegLogPosterior:
@@ -384,6 +402,82 @@ class TestObjectiveEntries:
                 grads["X_free"].ravel(), grads["U"].ravel(), [grads["log_s2"], grads["log_sigma2"]],
             ])
             assert np.array_equal(packed, g)
+
+
+class TestRowBlocks:
+    """The objective's row-wise phases run over row blocks of
+    ``ROW_BLOCK_BYTES``; no result may depend on the block size.  N = 120 is
+    a multiple of neither 7 nor 64 and leaves one row after the 7-row
+    blocks."""
+
+    n, l, R = 120, 20, 3
+
+    def _setup(self, seed):
+        rng = np.random.default_rng(seed)
+        ctx = tiny_ctx(rng, n=self.n, l=self.l, R=self.R, gamma=1.3)
+        states = [random_state(rng, self.n, self.R, s2=float(rng.uniform(0.2, 1.5)))
+                  for _ in range(3)]
+        return ctx, [pack(st) for st in states]
+
+    def _block_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * (self.l + feature_dim(self.R)))
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_objective_does_not_depend_on_the_block_size(self, rows, monkeypatch):
+        ctx, ws = self._setup(31)
+        assert len(model._Workspace(ctx.Yc, self.R).residual_blocks) == 1
+        fg = objective_function(ctx, self.n, self.R)
+        whole = [(fg(w), fg.gradient(w)) for w in ws]
+        self._block_rows(monkeypatch, rows)
+        blocks = model._Workspace(ctx.Yc, self.R).residual_blocks
+        assert len(blocks) == -(-self.n // rows) - (self.n % rows == 1)
+        fg = objective_function(ctx, self.n, self.R)
+        for w, ((value, g), g_probe) in zip(ws, whole):
+            got_value, got_g = fg(w)
+            assert got_value == value
+            assert np.array_equal(got_g, g)
+            assert np.array_equal(fg.gradient(w), g_probe)
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_solve_does_not_depend_on_the_block_size(self, rows, monkeypatch):
+        rng = np.random.default_rng(32)
+        C = rng.normal(size=(self.n, feature_dim(self.R)))
+        B = rng.normal(size=(self.n, self.l + feature_dim(self.R)))
+        wb = WoodburySolver(C, 0.7, 0.05)
+        whole = wb.solve(B), wb.solve(B[:, 0])
+        self._block_rows(monkeypatch, rows)
+        assert np.array_equal(wb.solve(B), whole[0])
+        out = np.empty_like(B)
+        assert wb.solve(B, out=out) is out and np.array_equal(out, whole[0])
+        assert np.array_equal(wb.solve(B[:, 0]), whole[1])
+        # blocks of `rows` entries of a vector, and of two rows (the least) of B
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8)
+        assert np.array_equal(wb.solve(B[:, 0]), whole[1])
+        in_place = B.copy()
+        assert np.array_equal(wb.solve(in_place, out=in_place), whole[0])
+
+    def test_warm_evaluation_allocates_no_image_sized_buffer(self):
+        n, l, R = 4000, 160, 3
+        scene = generate_scene(SceneRecipe(model="lmm", R=R, L=l, N=n, sigma2=1e-4, seed=3))
+        Yc, _ = center(scene.image)
+        pb = pca_basis(Yc.pixels, feature_dim(R))
+        ctx = ModelContext(Yc=Yc.pixels, pbar=pb, lle=lle_weights(Yc.pixels, K=R))
+        assert len(model._Workspace(ctx.Yc, R).residual_blocks) > 1
+        state = model.initial_state(ctx, random_sum_to_one(np.random.default_rng(0), n, R))
+        w = pack(state)
+        fg = objective_function(ctx, n, R)
+        fg(w)
+        tracemalloc.start()
+        try:
+            fg(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a warm evaluation's N-sized temporaries are the thin SVD of C with
+        # its LAPACK work, the LLE products of X and the returned gradient:
+        # each at most N x D, against the N x L (here 27x larger) residual
+        # and solve blocks, which must all live in the workspace
+        assert peak < 4 * n * feature_dim(R) * 8 < n * l * 8 / 6
 
 
 class TestPackUnpack:

@@ -229,3 +229,30 @@ def test_gradient_only_probes_keep_the_trajectory(fixture, monkeypatch):
     assert lean_report.rejected == full_report.rejected
     assert full_report.probes == 0 and lean_report.probes > 0
     assert lean_report.evaluations + lean_report.probes == full_report.evaluations
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        lambda: LmmFixture(n=99),
+        lambda: LmmFixture(seed=4, n=85, l=16, gbm=[0.9, 0.5, 0.3]),
+    ],
+    ids=["lmm", "gbm"],
+)
+def test_fit_does_not_depend_on_the_row_block_size(fixture, monkeypatch):
+    # 7-row and 64-row blocks, N a multiple of neither (and one row left
+    # after the 7-row blocks), must take exactly the one-block path
+    fx = fixture()
+    state0 = initial_state(fx.ctx, fx.x0)
+    whole, whole_report = scg_optimize(state0, fx.ctx, max_iter=300, tol=1e-12)
+    width = fx.recipe.L + feature_dim(fx.recipe.R)
+    for rows in (7, 64):
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * width)
+        assert len(model._Workspace(fx.ctx.Yc, fx.recipe.R).residual_blocks) > 1
+        got, report = scg_optimize(state0, fx.ctx, max_iter=300, tol=1e-12)
+        assert np.array_equal(got.X, whole.X)
+        assert np.array_equal(got.U, whole.U)
+        assert got.s2 == whole.s2 and got.sigma2 == whole.sigma2
+        assert np.array_equal(report.trace, whole_report.trace)
+        assert (report.iterations, report.evaluations, report.probes) == (
+            whole_report.iterations, whole_report.evaluations, whole_report.probes)
