@@ -29,21 +29,22 @@ SIGMA2_FLOOR = 1e-12
 ROW_BLOCK_BYTES = 2**20
 
 
-def _rows_per_block(width: int) -> int:
-    """Rows of a float64 array ``width`` columns wide that one block holds,
-    at least two (see :func:`_row_blocks`)."""
-    return max(2, ROW_BLOCK_BYTES // (8 * max(width, 1)))
+def _row_blocks(n: int, width: int) -> tuple[slice, ...]:
+    """Consecutive row slices covering an n x ``width`` float64 array, each
+    of at most ``ROW_BLOCK_BYTES`` and at least two rows.  A trailing single
+    row joins the block before it: numpy computes a one-row matrix product
+    with a matrix-vector kernel, which rounds differently from the same row
+    inside a matrix product.  The workspace and the solve both take their
+    split from here."""
+    return _split_rows(n, max(2, ROW_BLOCK_BYTES // (8 * max(width, 1))))
 
 
-def _row_blocks(n: int, step: int) -> list[slice]:
-    """Consecutive slices of ``step`` rows covering n rows.  A trailing
-    single row joins the block before it: numpy computes a one-row matrix
-    product with a matrix-vector kernel, which rounds differently from the
-    same row inside a matrix product.  So n <= step + 1 is one block."""
+@lru_cache(maxsize=8)
+def _split_rows(n: int, step: int) -> tuple[slice, ...]:
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
 
 
 def feature_dim(R: int) -> int:
@@ -147,9 +148,10 @@ class WoodburySolver:
         ``out`` optionally receives the result (hot loops reuse buffers to
         avoid churning large allocations); it may be B itself.  The
         projection W^T B onto the basis is one whole-array product; the
-        back-substitution (B - W inner) / sigma2 then runs over row blocks of
-        ``ROW_BLOCK_BYTES``, each finished while it is in cache.  The
-        result does not depend on the block size."""
+        back-substitution (B - W inner) / sigma2 then runs over the row
+        blocks of :func:`_row_blocks`, each finished while it is in cache;
+        for a right-hand side as wide as the workspace's these are the
+        workspace's blocks.  The result does not depend on the block size."""
         B = np.asarray(B, float)
         if self._basis is None:
             if out is None:
@@ -168,14 +170,7 @@ class WoodburySolver:
             inner = shrink[:, None] * WtB
         if out is None:
             out = np.empty(B.shape)
-        n = B.shape[0]
-        step = _rows_per_block(B.shape[1] if B.ndim == 2 else 1)
-        if n <= step + 1:  # one block (see _row_blocks)
-            np.matmul(self._basis, inner, out=out)
-            np.subtract(B, out, out=out)
-            out /= self.sigma2
-            return out
-        for rows in _row_blocks(n, step):
+        for rows in _row_blocks(B.shape[0], B.shape[1] if B.ndim == 2 else 1):
             block = out[rows]
             np.matmul(self._basis[rows], inner, out=block)
             np.subtract(B[rows], block, out=block)
@@ -338,7 +333,7 @@ class _Workspace:
         # right-hand sides [Ybar | C] and their solves, one pass each
         self.stacked = np.empty((n_pixels, L + D))
         self.solved = np.empty((n_pixels, L + D))
-        blocks = _row_blocks(n_pixels, _rows_per_block(L + D))
+        blocks = _row_blocks(n_pixels, L + D)
         head = self.solved.reshape(-1)
         # (Yc, C, Ybar scratch, stacked Ybar, stacked C) per block
         self.residual_blocks = [
@@ -407,8 +402,10 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     g_xfree, g_u, g_logs = _blocks(grad, n, R)
     # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
     # same single product over the pixels, which OpenBLAS runs 2-2.5x
-    # faster with the small dimension first and which came out bit-equal on
-    # every shape tried with one BLAS thread; the copy keeps Q C-ordered
+    # faster with the small dimension first.  The fit's bits rest on the two
+    # orders summing alike; TestRowBlocks pins that on the shipped shapes,
+    # so a BLAS that rounds them differently fails there.  The copy keeps Q
+    # C-ordered
     Q = (SiC.T @ Ybar).T.copy()
     # dE/dC through Sigma and through Ybar, fused into one N x L product
     through_ybar = s2 * Q + ctx.pbar.basis

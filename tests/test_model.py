@@ -456,6 +456,19 @@ class TestRowBlocks:
         in_place = B.copy()
         assert np.array_equal(wb.solve(in_place, out=in_place), whole[0])
 
+    @pytest.mark.parametrize("n", [400, 2500, 10000])
+    def test_q_orientation_sums_alike(self, n):
+        # _evaluate forms Q = Ybar^T SiC as (SiC^T Ybar)^T; the fit is the
+        # same to the bit only while both products round alike.  The views
+        # have the evaluation's layout: column blocks of N x (L+D) buffers,
+        # at the shipped L = 160, D = 6 and the shipped scene sizes
+        l, d = 160, feature_dim(3)
+        rng = np.random.default_rng(n)
+        stacked = rng.normal(size=(n, l + d))
+        solved = rng.normal(size=(n, l + d))
+        Ybar, SiC = stacked[:, :l], solved[:, l:]
+        assert np.array_equal((SiC.T @ Ybar).T, Ybar.T @ SiC)
+
     def test_warm_evaluation_allocates_no_image_sized_buffer(self):
         n, l, R = 4000, 160, 3
         scene = generate_scene(SceneRecipe(model="lmm", R=R, L=l, N=n, sigma2=1e-4, seed=3))
