@@ -188,13 +188,31 @@ def _estimate_snr(p_y: float, p_x: float, R: int, L: int) -> float:
     return float(10.0 * np.log10((p_x - R / L * p_y) / denom))
 
 
+def _rank_certified(Ym: np.ndarray, R: int) -> bool:
+    """Whether a strided column subsample already proves the rank test.
+
+    The full test asks sigma_R(Y) > 1e-10 sigma_1(Y).  Deleting columns can
+    only lower singular values and sigma_1(Y) <= ||Y||_F, so
+    sigma_R(Y[:, ::step]) > 1e-10 ||Y||_F implies it; the factor 2 keeps the
+    shortcut clear of rounding in either SVD.  A False answer proves nothing:
+    the caller then runs the full test.
+    """
+    L, N = Ym.shape
+    step = max(1, N // (4 * L))
+    if step == 1:
+        return False
+    sv = np.linalg.svd(Ym[:, ::step], compute_uv=False)
+    return bool(sv[R - 1] > 2e-10 * np.linalg.norm(Ym))
+
+
 def vca(Y: HyperImage | np.ndarray, R: int, seed: int) -> EndmemberSet:
     """Vertex component analysis on uncentered pixels.
 
     The random direction vectors come from the given seed, so repeated runs
     are identical.  Both second moments come from one L x L product and
-    only the R chosen pixels are projected back to spectra, so beyond the
-    rank check's SVD no N x L temporary is formed.
+    only the R chosen pixels are projected back to spectra, so no N x L
+    temporary is formed unless a strided subsample of the pixels cannot
+    certify the rank check and the full SVD has to decide it.
     """
     pixels = Y.pixels if isinstance(Y, HyperImage) else np.asarray(Y, float)
     if isinstance(Y, HyperImage) and Y.centered:
@@ -203,9 +221,10 @@ def vca(Y: HyperImage | np.ndarray, R: int, seed: int) -> EndmemberSet:
     L, N = Ym.shape
     if R > L:
         raise ValueError("need R <= L")
-    sv = np.linalg.svd(Ym, compute_uv=False)
-    if (sv > 1e-10 * sv[0]).sum() < R:
-        raise ValueError("data rank is below the requested endmember count")
+    if not _rank_certified(Ym, R):
+        sv = np.linalg.svd(Ym, compute_uv=False)
+        if (sv > 1e-10 * sv[0]).sum() < R:
+            raise ValueError("data rank is below the requested endmember count")
     rng = np.random.default_rng(seed)
 
     y_mean = Ym.mean(axis=1)

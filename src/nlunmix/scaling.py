@@ -7,13 +7,20 @@ barycentric coordinates of each point are its abundances.  The fit is fully
 deterministic: a max-volume vertex search over the data seeds it, a ramped
 soft-containment penalty on log-volume refines it, and a final constrained
 least-squares pass makes every abundance row exactly feasible.
+
+The penalized objective reads the points as one C-ordered R x N array of
+homogeneous columns, built once per fit, so its barycentric coordinates come
+from one R x R by R x N product and its penalty from one R x N by N x R
+product.  Each penalty stage is minimized over the (R-1) x R vertex entries
+by a dense BFGS (:func:`_bfgs`) and then polished by finite-difference
+Newton steps; with a dozen unknowns or fewer no limited-memory solver is
+needed, and the module imports nothing from ``scipy.optimize``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .baselines import simplex_lstsq
 from .core import AbundanceMatrix
@@ -119,23 +126,95 @@ def _inflate_to_contain(V: np.ndarray, X: np.ndarray, margin: float = 1e-3) -> n
     return centroid + s * (V - centroid)
 
 
+def _homogeneous(X: np.ndarray) -> np.ndarray:
+    """The N x (R-1) points as C-ordered R x N homogeneous columns (last
+    row ones), so each coordinate is one contiguous row."""
+    Xt = np.empty((X.shape[1] + 1, X.shape[0]))
+    Xt[:-1] = X.T
+    Xt[-1] = 1.0
+    return Xt
+
+
 def _penalized_objective(v_flat: np.ndarray, Xt: np.ndarray, R: int, mu):
     """log-volume plus weighted squared negative barycentric parts.
 
-    ``mu`` may be a scalar or a per-face weight vector of length R."""
+    ``Xt`` holds the homogeneous points as the columns of an R x N array
+    (:func:`_homogeneous`), so the barycentric coordinates are the R x N
+    product ``W @ Xt`` with W the inverse of the augmented vertex matrix.
+    One R x R product M = neg @ bary^T then carries the whole penalty: its
+    diagonal holds each face's sum of squared negative parts (neg * bary is
+    neg^2 where neg is nonzero), and 2 mu M is the penalty's part of the
+    gradient.  Only two R x N arrays are formed per call.  ``mu`` may be a
+    scalar or a per-face weight vector of length R.  Returns the value and
+    the gradient with respect to the (R-1) x R vertex entries, flattened
+    row-major."""
     V = v_flat.reshape(R - 1, R)
     Vaug = _augment(V)
     det = np.linalg.det(Vaug)
     if abs(det) < 1e-300:
         return np.inf, np.zeros_like(v_flat)
     W = np.linalg.inv(Vaug)
-    bary = Xt @ W.T  # N x R
+    bary = W @ Xt  # R x N
     neg = np.minimum(bary, 0.0)
+    M = neg @ bary.T
     mu_vec = np.broadcast_to(np.asarray(mu, float), (R,))
-    value = np.log(abs(det)) + float(np.sum(mu_vec * np.sum(neg**2, axis=0)))
-    G = 2.0 * mu_vec * neg
-    grad_aug = W.T @ (np.eye(R) - G.T @ bary)
+    value = np.log(abs(det)) + float(mu_vec @ np.diag(M))
+    grad_aug = W.T @ (np.eye(R) - (2.0 * mu_vec)[:, None] * M)
     return value, grad_aug[: R - 1].ravel()
+
+
+def _bfgs(fg, x0: np.ndarray, maxiter: int = 500, gtol: float = 1e-12, ftol: float = 1e-16):
+    """Minimize a smooth function by dense BFGS with Armijo backtracking.
+
+    ``fg(x)`` returns the value and the gradient.  The inverse-Hessian
+    estimate starts as the identity scaled by s.y / y.y at the first update
+    (Nocedal & Wright 2006, eq. 6.20), and an update is skipped when the step
+    shows no positive curvature.  The first step, and any step after the
+    estimate has lost descent, goes down the gradient with unit length.
+
+    The stopping rules are those of L-BFGS-B: the largest gradient entry is
+    at most ``gtol``, or one step lowered the value by at most ``ftol``
+    times max(|f_old|, |f_new|, 1), or ``maxiter`` steps were taken.  A step
+    for which 60 halvings find no sufficient decrease also stops it.
+    Returns the last point, the number of steps, and the rule that stopped
+    the iteration: "gtol", "ftol", "linesearch" or "maxiter".
+    """
+    x = np.array(x0, float)
+    f, g = fg(x)
+    H = None
+    for it in range(maxiter):
+        if not np.max(np.abs(g)) > gtol:
+            return x, it, "gtol"
+        p = None if H is None else -(H @ g)
+        if p is None or not g @ p < 0.0:  # first step, or descent lost to rounding
+            H = None
+            p = -g / np.linalg.norm(g)
+        slope = g @ p
+        t = 1.0
+        for _ in range(60):
+            x_new = x + t * p
+            f_new, g_new = fg(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return x, it, "linesearch"
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            if H is None:
+                H = (sy / (y @ y)) * np.eye(x.size)
+            Hy = H @ y
+            rho = 1.0 / sy
+            H += (rho * rho * (y @ Hy) + rho) * np.outer(s, s) - rho * (
+                np.outer(Hy, s) + np.outer(s, Hy)
+            )
+        decrease = f - f_new
+        scale = max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= ftol * scale:
+            return x, it + 1, "ftol"
+    return x, maxiter, "maxiter"
 
 
 def _newton_polish(V: np.ndarray, Xt: np.ndarray, R: int, mu) -> np.ndarray:
@@ -150,7 +229,7 @@ def _newton_polish(V: np.ndarray, Xt: np.ndarray, R: int, mu) -> np.ndarray:
     h = 1e-7
     for _ in range(8):
         f0, g0 = _penalized_objective(v, Xt, R, mu)
-        if np.linalg.norm(g0) < 1e-11 * max(1.0, Xt.shape[0]):
+        if np.linalg.norm(g0) < 1e-11 * max(1.0, Xt.shape[1]):
             break
         H = np.empty((dim, dim))
         for i in range(dim):
@@ -196,20 +275,13 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
     sv = np.linalg.svd(Xc, compute_uv=False)
     if sv[rm1 - 1] <= 1e-10 * sv[0]:
         raise ValueError("latent points do not span R-1 dimensions")
-    Xt = np.hstack([X, np.ones((n, 1))])
+    Xt = _homogeneous(X)
 
     V = _inflate_to_contain(_nfindr(X), X)
     init_volume = abs(np.linalg.det(_augment(V)))
     for mu in MU_SCHEDULE:
-        res = scipy.optimize.minimize(
-            _penalized_objective,
-            V.ravel(),
-            args=(Xt, R, mu),
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=500, ftol=1e-16, gtol=1e-12),
-        )
-        V = res.x.reshape(R - 1, R)
+        v, _, _ = _bfgs(lambda v: _penalized_objective(v, Xt, R, mu), V.ravel())
+        V = v.reshape(R - 1, R)
     V = _newton_polish(V, Xt, R, MU_SCHEDULE[-1])
 
     if noise_scale is not None and noise_scale > 0:
@@ -219,15 +291,8 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
         face_norm2 = np.sum(W[:, : R - 1] ** 2, axis=1)
         mu_faces = 1.0 / (2.0 * n * noise_scale**2 * face_norm2)
         mu_faces = np.minimum(mu_faces, MU_SCHEDULE[-1])
-        res = scipy.optimize.minimize(
-            _penalized_objective,
-            V.ravel(),
-            args=(Xt, R, mu_faces),
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=500, ftol=1e-16, gtol=1e-12),
-        )
-        V = _newton_polish(res.x.reshape(R - 1, R), Xt, R, mu_faces)
+        v, _, _ = _bfgs(lambda v: _penalized_objective(v, Xt, R, mu_faces), V.ravel())
+        V = _newton_polish(v.reshape(R - 1, R), Xt, R, mu_faces)
 
     abund = AbundanceMatrix(simplex_lstsq(V, X))
     v_r = np.vstack([V, 1.0 - V.sum(axis=0)])

@@ -246,6 +246,34 @@ class TestVca:
         with pytest.raises(ValueError):
             vca(HyperImage(rank1 + 0.1), 3, seed=0)
 
+    def test_rejects_rank_deficient_past_the_subsample(self):
+        # N = 1000 >= 8 L, so the strided subsample is tried first; it cannot
+        # certify rank 3 and the full SVD rejects the image as before
+        from nlunmix.core import HyperImage
+
+        rank2 = np.outer(np.linspace(0, 1, 1000), np.ones(8))
+        rank2[:, 0] += np.linspace(0, 1, 1000) ** 2
+        with pytest.raises(ValueError):
+            vca(HyperImage(rank2 + 0.1), 3, seed=0)
+
+    def test_rank_carried_off_the_stride_is_accepted(self):
+        # every pixel the rank subsample reads is the same spectrum; only
+        # the pixels between them span three dimensions, so the full SVD
+        # must decide, and it accepts
+        from nlunmix.baselines import _rank_certified
+        from nlunmix.core import HyperImage
+
+        L, N = 8, 400
+        step = N // (4 * L)
+        M = synth_endmembers(3, L, seed=3).spectra
+        A = sample_abundances(N, 3, amax=1.0, seed=3).values
+        pixels = A @ M.T
+        pixels[::step] = M.mean(axis=1)
+        assert np.linalg.matrix_rank(pixels[::step]) == 1
+        assert not _rank_certified(pixels.T, 3)
+        est = vca(HyperImage(pixels), 3, seed=0)
+        assert est.spectra.shape == (L, 3)
+
     def test_rejects_centered_input(self):
         img, _ = self._pure_scene()
         cimg, _ = center(img)

@@ -6,8 +6,14 @@ import pytest
 
 from nlunmix.metrics import rnmse
 from nlunmix.scaling import (
+    MU_SCHEDULE,
     SimplexFit,
     _augment,
+    _bfgs,
+    _homogeneous,
+    _inflate_to_contain,
+    _newton_polish,
+    _nfindr,
     _penalized_objective,
     constrained_latents,
     fit_min_volume_simplex,
@@ -38,7 +44,7 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(0)
         for R in (2, 3, 4):
             X = rng.normal(size=(30, R - 1))
-            Xt = np.hstack([X, np.ones((30, 1))])
+            Xt = np.vstack([X.T, np.ones((1, 30))])
             v = rng.normal(scale=2.0, size=(R - 1) * R)
             mu = rng.uniform(50, 200, size=R) if per_face else 100.0
             _, g = _penalized_objective(v, Xt, R, mu=mu)
@@ -49,6 +55,108 @@ class TestPenalizedObjective:
                 fp = _penalized_objective(v + e, Xt, R, mu=mu)[0]
                 fm = _penalized_objective(v - e, Xt, R, mu=mu)[0]
                 assert g[i] == pytest.approx((fp - fm) / (2 * h), abs=1e-4, rel=1e-5)
+
+
+class TestBfgs:
+    def test_quadratic_stops_on_gtol(self):
+        # f = 1/2 x^T A x - b^T x; a gradient test loose enough that the
+        # value still falls visibly per step is what stops it
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        A = Q @ np.diag(np.logspace(0, 2, 6)) @ Q.T
+        b = rng.normal(size=6)
+
+        def fg(x):
+            return 0.5 * x @ A @ x - b @ x, A @ x - b
+
+        x, nit, stop = _bfgs(fg, np.zeros(6), gtol=1e-6)
+        assert stop == "gtol"
+        assert nit < 100
+        assert np.max(np.abs(A @ x - b)) <= 1e-6
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-6)
+
+    def test_quadratic_at_its_minimum_takes_no_step(self):
+        A = np.diag([1.0, 4.0])
+        x, nit, stop = _bfgs(lambda x: (0.5 * x @ A @ x, A @ x), np.zeros(2))
+        assert (nit, stop) == (0, "gtol")
+        assert np.array_equal(x, np.zeros(2))
+
+    @staticmethod
+    def _rosenbrock(x):
+        a, b = x
+        f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+        g = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+        return f, g
+
+    def test_rosenbrock_converges(self):
+        x, nit, stop = _bfgs(self._rosenbrock, np.array([-1.2, 1.0]))
+        assert stop in ("gtol", "ftol")
+        assert nit < 500
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-7)
+
+    def test_rosenbrock_stops_on_ftol(self):
+        # a loose relative-decrease test ends the valley crawl early, with
+        # the gradient still far from zero
+        x, nit, stop = _bfgs(self._rosenbrock, np.array([-1.2, 1.0]), gtol=0.0, ftol=1e-2)
+        assert stop == "ftol"
+        assert nit < 500
+        assert np.max(np.abs(self._rosenbrock(x)[1])) > 1e-6
+
+    def test_rosenbrock_stops_at_maxiter(self):
+        x, nit, stop = _bfgs(self._rosenbrock, np.array([-1.2, 1.0]), maxiter=5)
+        assert (nit, stop) == (5, "maxiter")
+        assert self._rosenbrock(x)[0] < self._rosenbrock(np.array([-1.2, 1.0]))[0]
+
+
+def _reference_vertices(X, noise_scale=None):
+    """The simplex fit's stages with scipy's L-BFGS-B in place of _bfgs."""
+    import scipy.optimize
+
+    def lbfgsb(V, mu):
+        res = scipy.optimize.minimize(
+            _penalized_objective, V.ravel(), args=(Xt, R, mu), jac=True,
+            method="L-BFGS-B", options=dict(maxiter=500, ftol=1e-16, gtol=1e-12),
+        )
+        return res.x.reshape(R - 1, R)
+
+    n, R = X.shape[0], X.shape[1] + 1
+    Xt = _homogeneous(X)
+    V = _inflate_to_contain(_nfindr(X), X)
+    for mu in MU_SCHEDULE:
+        V = lbfgsb(V, mu)
+    V = _newton_polish(V, Xt, R, MU_SCHEDULE[-1])
+    if noise_scale is not None and noise_scale > 0:
+        W = np.linalg.inv(_augment(V))
+        face_norm2 = np.sum(W[:, : R - 1] ** 2, axis=1)
+        mu_faces = np.minimum(1.0 / (2.0 * n * noise_scale**2 * face_norm2), MU_SCHEDULE[-1])
+        V = _newton_polish(lbfgsb(V, mu_faces), Xt, R, mu_faces)
+    return V
+
+
+class TestMatchesLbfgsbReference:
+    @pytest.mark.parametrize(
+        "case",
+        ["pure_pixels", "truncated", "noise_weighted_faces", "r4_truncated", "r2_segment"],
+    )
+    def test_vertices_match(self, case):
+        noise_scale = None
+        if case == "pure_pixels":
+            X, _ = latent_cloud(np.array([[0.0, 1.0, 0.2], [0.0, 0.1, 0.9]]), 400, seed=1,
+                                include_vertices=True)
+        elif case in ("truncated", "noise_weighted_faces"):
+            X, _ = latent_cloud(np.array([[0.0, 1.0, 0.3], [0.0, 0.2, 1.1]]), 1500, amax=0.9,
+                                seed=3)
+            if case == "noise_weighted_faces":
+                noise_scale = 0.01
+                X = X + np.random.default_rng(0).normal(scale=noise_scale, size=X.shape)
+        elif case == "r4_truncated":
+            V4 = np.array([[0.0, 1.0, 0.0, 0.3], [0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.0, 1.0]])
+            X, _ = latent_cloud(V4, 800, amax=0.9, seed=5)
+        else:
+            X = np.random.default_rng(2).uniform(-0.3, 1.7, size=(200, 1))
+        ref = _reference_vertices(X, noise_scale)
+        got = fit_min_volume_simplex(X, noise_scale=noise_scale).vertices
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestFitMinVolumeSimplex:
