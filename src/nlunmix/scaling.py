@@ -13,8 +13,9 @@ homogeneous columns, built once per fit, so its barycentric coordinates come
 from one R x R by R x N product and its penalty from one R x N by N x R
 product.  Each penalty stage is minimized over the (R-1) x R vertex entries
 by a dense BFGS (:func:`_bfgs`) and then polished by finite-difference
-Newton steps; with a dozen unknowns or fewer no limited-memory solver is
-needed, and the module imports nothing from ``scipy.optimize``.
+Newton steps.  With (R-1) * R unknowns (6 at R = 3) a dense inverse Hessian
+costs nothing next to one pass over the points, so no limited-memory solver
+is needed and the module imports nothing from ``scipy.optimize``.
 """
 from __future__ import annotations
 
