@@ -3,15 +3,20 @@
 Each subcommand reads a stage directory and writes the next one, so the
 pipeline can be driven end to end or stage by stage.  The computation of
 each unmixing stage is the stage function in ``pipeline`` that
-``run_pipeline`` also calls; this module only knows the directory format.
-Matrices travel in the package's binary format (see core.save_matrix);
-recipes and stage metadata are flat key=value text files.
+``run_pipeline`` also calls.  This module only knows the directory format,
+and ``_StageDir`` holds it in one place: which files each stage reads, how
+the PCA basis and a latent state are rebuilt from them, and which files
+``fit`` and ``scale`` copy forward unread so that later stages are
+self-contained.  Matrices travel in the package's binary format (see
+core.save_matrix); recipes and stage metadata are flat key=value text
+files.
 """
 from __future__ import annotations
 
 import argparse
 import shutil
 import sys
+from functools import cached_property
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -24,16 +29,13 @@ from .core import HyperImage, center, load_matrix, save_matrix
 from .embed import LleWeights, PcaBasis
 from .gpregress import confidence95
 from .model import LatentState
-from .scene import DEFAULT_GBM_GAMMA, SceneRecipe, gamma_matrix, generate_scene
+from .scene import DEFAULT_GBM_GAMMA, generate_scene, recipe_from_kv, recipe_to_kv
 
 # unused here; bench/spans.py patches these names in this module as well
 from .embed import init_latents, lle_weights, pca_basis  # noqa: F401
 from .gpregress import GpPredictor, extract_endmembers  # noqa: F401
 from .model import latent_noise_scale, map_P, scg_optimize  # noqa: F401
 from .scaling import fit_min_volume_simplex  # noqa: F401
-
-# the reduce stage's context, which fit and scale copy forward
-_CONTEXT_FILES = ("yc.nlm", "pbar.nlm", "eigenvalues.nlm", "mean.nlm")
 
 
 def _write_kv(path: Path, values: dict) -> None:
@@ -46,68 +48,79 @@ def _read_kv(path: Path) -> dict:
     return pl.parse_kv(path.read_text())
 
 
-def _dirs(args) -> tuple[Path, Path]:
-    """The stage's input directory and its output directory, created."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return Path(args.indir), out
+def _save(out: Path, **matrices) -> None:
+    """Write each keyword's matrix to ``<keyword>.nlm`` in ``out``."""
+    for name, m in matrices.items():
+        save_matrix(m, out / f"{name}.nlm")
 
 
-def _carry(indir: Path, out: Path, names) -> None:
-    """Copy files forward so later stages are self-contained."""
-    for name in names:
-        shutil.copyfile(indir / name, out / name)
+class _StageDir:
+    """The input directory of one stage command (``args.indir``), with the
+    command's output directory ``out`` created.  Inputs are read when asked
+    for; ``meta.txt`` once, on first use."""
 
+    # what each stage copies forward unread (besides meta.txt): the reduce
+    # stage's context, and from scale on also the fitted U, s2, sigma2 and P-hat
+    CONTEXT = ("yc.nlm", "pbar.nlm", "eigenvalues.nlm", "mean.nlm")
+    CARRIED = {"fit": CONTEXT, "scale": CONTEXT + ("uhat.nlm", "s2.nlm", "sigma2.nlm", "phat.nlm")}
 
-def _load_readonly(path: Path) -> np.ndarray:
-    """A stage file's matrix, read-only, so that the image and model
-    containers it goes into share it instead of copying it."""
-    m = load_matrix(path)
-    m.flags.writeable = False
-    return m
+    def __init__(self, args):
+        self.path, self.stage = Path(args.indir), args.command
+        self.out = Path(args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
 
+    @cached_property
+    def meta(self) -> dict:
+        return _read_kv(self.path / "meta.txt")
 
-def _recipe_to_kv(recipe: SceneRecipe) -> dict:
-    kv = {
-        "model": recipe.model,
-        "r": recipe.R,
-        "l": recipe.L,
-        "n": recipe.N,
-        "sigma2": format(recipe.sigma2, ".17g"),
-        "amax": format(recipe.amax, ".17g"),
-        "seed": recipe.seed,
-    }
-    if recipe.model == "gbm":
-        pairs = []
-        R = recipe.R
-        for i in range(R):
-            for j in range(i + 1, R):
-                pairs.append(format(recipe.gamma[i, j], ".17g"))
-        kv["gbm_gamma"] = ",".join(pairs)
-    return kv
+    def matrix(self, name: str) -> np.ndarray:
+        """``<name>.nlm``, read-only, so that the image and model containers
+        it goes into share it instead of copying it."""
+        m = load_matrix(self.path / f"{name}.nlm")
+        m.flags.writeable = False
+        return m
+
+    def pbar(self) -> PcaBasis:
+        """The PCA basis in the layout ``reduce_stage`` returns it
+        (``PcaBasis`` stores it Fortran-ordered), so the stages round
+        exactly as they do in ``run_pipeline``."""
+        return PcaBasis(
+            basis=self.matrix("pbar"),
+            eigenvalues=self.matrix("eigenvalues").ravel(),
+            residual_variance=float(self.meta["residual_variance"]),
+        )
+
+    def lle(self, n: int) -> LleWeights:
+        return _load_lambda_csv(self.path / "lambda.csv", n, int(self.meta["k"]))
+
+    def state(self, x_name: str) -> LatentState:
+        """The latents in ``<x_name>.nlm`` with the fitted U, s2 and sigma2."""
+        return LatentState(
+            X=self.matrix(x_name),
+            U=self.matrix("uhat"),
+            s2=float(self.matrix("s2")[0, 0]),
+            sigma2=float(self.matrix("sigma2")[0, 0]),
+        )
+
+    def forward(self, **meta) -> None:
+        """Copy the stage's carried files to ``out`` without loading them,
+        and write its ``meta.txt``: this directory's, updated by ``meta``."""
+        for name in self.CARRIED[self.stage]:
+            shutil.copyfile(self.path / name, self.out / name)
+        _write_kv(self.out / "meta.txt", dict(self.meta, **meta))
 
 
 def cmd_gen(args) -> None:
-    gamma = None
-    if args.model == "gbm":
-        gamma = gamma_matrix(args.r, [float(v) for v in args.gbm_gamma.split(",")])
-    recipe = SceneRecipe(
-        model=args.model,
-        R=args.r,
-        L=args.l,
-        N=args.n,
-        sigma2=args.sigma2,
-        seed=args.seed,
-        amax=args.amax,
-        gamma=gamma,
-    )
+    recipe = recipe_from_kv({
+        "model": args.model, "r": args.r, "l": args.l, "n": args.n, "sigma2": args.sigma2,
+        "seed": args.seed, "amax": args.amax, "gbm_gamma": args.gbm_gamma,
+    })
     scene = generate_scene(recipe)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(scene.image.pixels, out / "image.nlm")
-    save_matrix(scene.abundances.values, out / "abundances.nlm")
-    save_matrix(scene.endmembers.spectra, out / "endmembers.nlm")
-    _write_kv(out / "recipe.txt", _recipe_to_kv(recipe))
+    _save(out, image=scene.image.pixels, abundances=scene.abundances.values,
+          endmembers=scene.endmembers.spectra)
+    _write_kv(out / "recipe.txt", recipe_to_kv(recipe))
     print(f"wrote scene ({recipe.N}x{recipe.L}, model={recipe.model}) to {out}")
 
 
@@ -149,8 +162,8 @@ def _load_lambda_csv(path: Path, n: int, k: int) -> LleWeights:
 
 
 def cmd_reduce(args) -> None:
-    indir, out = _dirs(args)
-    recipe_path = indir / "recipe.txt"
+    d = _StageDir(args)
+    recipe_path = d.path / "recipe.txt"
     if args.r is not None:
         R = args.r
     elif recipe_path.exists():
@@ -159,74 +172,36 @@ def cmd_reduce(args) -> None:
         raise ValueError("pass --r when the input has no recipe.txt")
     k = args.k if args.k is not None else R
     # the raw image is not kept: it is freed once the centered copy exists
-    centered, mean = center(HyperImage(_load_readonly(indir / "image.nlm")))
+    centered, mean = center(HyperImage(d.matrix("image")))
     pbar, lle, x0 = pl.reduce_stage(centered.pixels, R, k)
-    save_matrix(pbar.basis, out / "pbar.nlm")
-    save_matrix(pbar.eigenvalues.reshape(-1, 1), out / "eigenvalues.nlm")
-    save_matrix(centered.pixels, out / "yc.nlm")
-    save_matrix(mean.reshape(-1, 1), out / "mean.nlm")
-    save_matrix(x0, out / "x0.nlm")
-    _save_lambda_csv(out / "lambda.csv", lle)
+    _save(d.out, pbar=pbar.basis, eigenvalues=pbar.eigenvalues.reshape(-1, 1),
+          yc=centered.pixels, mean=mean.reshape(-1, 1), x0=x0)
+    _save_lambda_csv(d.out / "lambda.csv", lle)
     _write_kv(
-        out / "meta.txt",
-        {
-            "r": R,
-            "k": k,
-            "residual_variance": format(pbar.residual_variance, ".17g"),
-        },
+        d.out / "meta.txt",
+        {"r": R, "k": k, "residual_variance": format(pbar.residual_variance, ".17g")},
     )
-    print(f"wrote basis, weights, and starting latents to {out}")
-
-
-def _load_state(indir: Path, x_name: str) -> LatentState:
-    return LatentState(
-        X=load_matrix(indir / x_name),
-        U=load_matrix(indir / "uhat.nlm"),
-        s2=float(load_matrix(indir / "s2.nlm")[0, 0]),
-        sigma2=float(load_matrix(indir / "sigma2.nlm")[0, 0]),
-    )
-
-
-def _load_pbar(indir: Path, meta: dict) -> PcaBasis:
-    """The PCA basis of a stage directory, in the layout ``reduce_stage``
-    returns it (``PcaBasis`` stores it Fortran-ordered), so the stages
-    round exactly as they do in ``run_pipeline``."""
-    return PcaBasis(
-        basis=load_matrix(indir / "pbar.nlm"),
-        eigenvalues=load_matrix(indir / "eigenvalues.nlm").ravel(),
-        residual_variance=float(meta["residual_variance"]),
-    )
+    print(f"wrote basis, weights, and starting latents to {d.out}")
 
 
 def cmd_fit(args) -> None:
-    indir, out = _dirs(args)
-    meta = _read_kv(indir / "meta.txt")
-    Yc = _load_readonly(indir / "yc.nlm")
-    pbar = _load_pbar(indir, meta)
-    lle = _load_lambda_csv(indir / "lambda.csv", Yc.shape[0], int(meta["k"]))
+    d = _StageDir(args)
+    Yc = d.matrix("yc")
     state, report, phat = pl.fit_stage(
-        Yc, pbar, lle, load_matrix(indir / "x0.nlm"),
+        Yc, d.pbar(), d.lle(Yc.shape[0]), d.matrix("x0"),
         gamma=args.gamma, max_iter=args.max_iter, tol=args.tol,
     )
-    save_matrix(state.X, out / "xhat.nlm")
-    save_matrix(state.U, out / "uhat.nlm")
-    save_matrix(np.array([[state.s2]]), out / "s2.nlm")
-    save_matrix(np.array([[state.sigma2]]), out / "sigma2.nlm")
-    save_matrix(phat, out / "phat.nlm")
-    with open(out / "trace.csv", "w") as fh:
+    _save(d.out, xhat=state.X, uhat=state.U, s2=[[state.s2]], sigma2=[[state.sigma2]],
+          phat=phat)
+    with open(d.out / "trace.csv", "w") as fh:
         fh.write("iteration,neg_log_posterior\n")
         for i, v in enumerate(report.trace):
             fh.write(f"{i},{format(v, '.17g')}\n")
-    _carry(indir, out, _CONTEXT_FILES)
-    _write_kv(
-        out / "meta.txt",
-        dict(
-            meta,
-            gamma=format(args.gamma, ".17g"),
-            converged=report.converged,
-            iterations=report.iterations,
-            grad_norm=format(report.grad_norm, ".17g"),
-        ),
+    d.forward(
+        gamma=format(args.gamma, ".17g"),
+        converged=report.converged,
+        iterations=report.iterations,
+        grad_norm=format(report.grad_norm, ".17g"),
     )
     print(
         f"fit finished: {report.iterations} iterations, converged={report.converged}, "
@@ -235,60 +210,39 @@ def cmd_fit(args) -> None:
 
 
 def cmd_scale(args) -> None:
-    indir, out = _dirs(args)
-    meta = _read_kv(indir / "meta.txt")
-    fit, cstate, v_r = pl.scale_stage(
-        _load_state(indir, "xhat.nlm"), _load_pbar(indir, meta).basis, rigid=args.rigid
-    )
-    save_matrix(fit.abundances.values, out / "abundances.nlm")
-    save_matrix(fit.vertices, out / "v_r_minus1.nlm")
-    save_matrix(v_r, out / "v_r.nlm")
-    save_matrix(cstate.X, out / "xc.nlm")
-    _carry(indir, out, _CONTEXT_FILES + ("uhat.nlm", "s2.nlm", "sigma2.nlm", "phat.nlm"))
-    _write_kv(out / "meta.txt", meta)
-    print(f"wrote abundances and vertex maps (volume {fit.volume:.6g}) to {out}")
+    d = _StageDir(args)
+    fit, cstate, v_r = pl.scale_stage(d.state("xhat"), d.pbar().basis, rigid=args.rigid)
+    _save(d.out, abundances=fit.abundances.values, v_r_minus1=fit.vertices, v_r=v_r,
+          xc=cstate.X)
+    d.forward()
+    print(f"wrote abundances and vertex maps (volume {fit.volume:.6g}) to {d.out}")
 
 
 def cmd_endmembers(args) -> None:
-    indir, out = _dirs(args)
+    d = _StageDir(args)
     endm = pl.endmembers_stage(
-        _load_state(indir, "xc.nlm"),
-        load_matrix(indir / "v_r.nlm"),
-        Yc=load_matrix(indir / "yc.nlm"),
-        mean=load_matrix(indir / "mean.nlm").ravel(),
-        basis=_load_pbar(indir, _read_kv(indir / "meta.txt")).basis,
-        phat=load_matrix(indir / "phat.nlm"),
-        mean_mode=args.mean_mode,
+        d.state("xc"), d.matrix("v_r"), Yc=d.matrix("yc"), mean=d.matrix("mean").ravel(),
+        basis=d.pbar().basis, phat=d.matrix("phat"), mean_mode=args.mean_mode,
     )
-    R = endm.n_endmembers
+    B, R = endm.spectra.shape
     lo, hi = confidence95(endm)
-    save_matrix(endm.spectra, out / "endmembers.nlm")
-    with open(out / "endmembers.csv", "w") as fh:
-        cols = ["band"]
-        for r in range(R):
-            cols += [f"mean_{r + 1}", f"var_{r + 1}", f"lo95_{r + 1}", f"hi95_{r + 1}"]
-        fh.write(",".join(cols) + "\n")
-        for b in range(endm.spectra.shape[0]):
-            cells = [str(b)]
-            for r in range(R):
-                cells += [
-                    format(endm.spectra[b, r], ".17g"),
-                    format(endm.band_variance[b, r], ".17g"),
-                    format(lo[b, r], ".17g"),
-                    format(hi[b, r], ".17g"),
-                ]
-            fh.write(",".join(cells) + "\n")
-    print(f"wrote {R} endmember spectra with confidence bands to {out}")
+    save_matrix(endm.spectra, d.out / "endmembers.nlm")
+    # per band: mean, variance, and the 95% band of each endmember in turn
+    cells = np.stack([endm.spectra, endm.band_variance, lo, hi], axis=2).reshape(B, 4 * R)
+    row = "%d" + ",%.17g" * (4 * R) + "\n"  # %.17g prints as format(v, ".17g")
+    with open(d.out / "endmembers.csv", "w") as fh:
+        fh.write(",".join(["band"] + [f"{c}_{r + 1}" for r in range(R)
+                                      for c in ("mean", "var", "lo95", "hi95")]) + "\n")
+        fh.writelines(row % (b, *values) for b, values in enumerate(cells.tolist()))
+    print(f"wrote {R} endmember spectra with confidence bands to {d.out}")
 
 
 def cmd_baseline(args) -> None:
-    indir, out = _dirs(args)
-    img = HyperImage(_load_readonly(indir / "image.nlm"))
+    d = _StageDir(args)
+    img = HyperImage(d.matrix("image"))
     endm = vca(img, args.r, seed=args.seed)
-    abund = fcls(img, endm)
-    save_matrix(endm.spectra, out / "vca_endmembers.nlm")
-    save_matrix(abund.values, out / "fcls_abundances.nlm")
-    print(f"wrote VCA endmembers and FCLS abundances to {out}")
+    _save(d.out, vca_endmembers=endm.spectra, fcls_abundances=fcls(img, endm).values)
+    print(f"wrote VCA endmembers and FCLS abundances to {d.out}")
 
 
 def _resolve_config(path_arg: str) -> str:
@@ -332,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=160)
     p.add_argument("--sigma2", type=float, default=1e-4)
     p.add_argument("--amax", type=float, default=1.0)
-    p.add_argument("--gbm-gamma", default=",".join(str(g) for g in DEFAULT_GBM_GAMMA))
+    p.add_argument("--gbm-gamma", default=None, help="GBM pair coefficients, comma-separated "
+                   f"(default: {','.join(map(str, DEFAULT_GBM_GAMMA))})")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

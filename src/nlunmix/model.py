@@ -8,7 +8,7 @@ log-determinants cost O(N * D^2) and never materialize an N x N matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -18,8 +18,16 @@ from scipy.linalg import lapack
 
 from .core import readonly
 from .embed import LleWeights, PcaBasis
+from .scg import ScgResult as FitReport  # the fit reports the optimizer's result as is
+from .scg import scg
 
 SIGMA2_FLOOR = 1e-12
+# flat box priors on the scale parameters, sigma2 in [SIGMA2_FLOOR,
+# SIGMA2_MAX], s2 in [0, S2_MAX] and |U| <= U_MAX; outside them the
+# posterior is rejected outright
+SIGMA2_MAX = 1e6
+S2_MAX = 1e6
+U_MAX = 1e3
 # Most bytes of an N x (L + D) row block: about half of a 2 MiB L2 cache.
 # The objective's row-wise phases (the residual, the solve's
 # back-substitution and the gradient's N x D combination) take rows in
@@ -195,17 +203,6 @@ class WoodburySolver:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Flat box priors on the scale parameters; outside them the posterior
-    is rejected outright."""
-
-    sigma2_max: float = 1e6
-    s2_max: float = 1e6
-    u_max: float = 1e3
-    sigma2_min: float = SIGMA2_FLOOR
-
-
-@dataclass(frozen=True)
 class LatentState:
     """Latent matrix X (rows sum to 1) plus kernel scales."""
 
@@ -248,13 +245,12 @@ class LatentState:
 @dataclass(frozen=True)
 class ModelContext:
     """Fixed quantities of one fit: centered data, spectral basis, LLE
-    weights, prior strength, and box bounds."""
+    weights and prior strength."""
 
     Yc: np.ndarray
     pbar: PcaBasis
     lle: LleWeights
     gamma: float = 1e3
-    bounds: Bounds = field(default_factory=Bounds)
 
     def __post_init__(self):
         Yc = readonly(self.Yc)  # shared, not copied, when already read-only
@@ -280,25 +276,11 @@ class ModelContext:
         return self.Yc.shape[1]
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Objective trace, termination info and work counts of one optimizer
-    run (the counts are those of :class:`~nlunmix.scg.ScgResult`)."""
-
-    trace: np.ndarray  # accepted objective values, starting point included
-    iterations: int
-    converged: bool
-    grad_norm: float
-    evaluations: int = 0  # value-and-gradient evaluations, the start included
-    probes: int = 0  # gradient-only curvature probes
-    rejected: int = 0  # iterations that took no step
-
-
-def _within_bounds(U, s2, sigma2, bounds: Bounds) -> bool:
+def _within_bounds(U, s2, sigma2) -> bool:
     return (
-        bounds.sigma2_min <= sigma2 <= bounds.sigma2_max
-        and 0.0 <= s2 <= bounds.s2_max
-        and np.abs(U).max() <= bounds.u_max
+        SIGMA2_FLOOR <= sigma2 <= SIGMA2_MAX
+        and 0.0 <= s2 <= S2_MAX
+        and np.abs(U).max() <= U_MAX
     )
 
 
@@ -367,7 +349,7 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     rounding, while splitting rows does not.  So the result does not depend
     on ``ROW_BLOCK_BYTES``.
     """
-    if not _within_bounds(U, s2, sigma2, ctx.bounds):
+    if not _within_bounds(U, s2, sigma2):
         return None
     L = ctx.Yc.shape[1]
     n, R = X.shape
@@ -548,24 +530,12 @@ def scg_optimize(
     state with a non-finite objective or gradient raises
     :class:`~nlunmix.scg.ScgStartError`, a ``ValueError``.
     """
-    from .scg import scg
-
     n, R = state0.X.shape
     fg = objective_function(ctx, n, R)
-    w, res = scg(fg, pack(state0), max_iter=max_iter, tol=tol,
-                 gradient=getattr(fg, "gradient", None))
+    w, report = scg(fg, pack(state0), max_iter=max_iter, tol=tol,
+                    gradient=getattr(fg, "gradient", None))
     X, U, s2, sigma2 = unpack(w, n, R)
-    state = LatentState(X=X, U=U, s2=s2, sigma2=sigma2)
-    report = FitReport(
-        trace=np.asarray(res.trace),
-        iterations=res.iterations,
-        converged=res.converged,
-        grad_norm=res.grad_norm,
-        evaluations=res.evaluations,
-        probes=res.probes,
-        rejected=res.rejected,
-    )
-    return state, report
+    return LatentState(X=X, U=U, s2=s2, sigma2=sigma2), report
 
 
 def map_P(state: LatentState, ctx: ModelContext) -> np.ndarray:

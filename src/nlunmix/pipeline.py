@@ -14,6 +14,7 @@ and writes the next directory.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .model import (
     scg_optimize,
 )
 from .scaling import SimplexFit, constrained_latents, fit_min_volume_simplex
-from .scene import DEFAULT_GBM_GAMMA, SceneRecipe, gamma_matrix, generate_scene
+from .scene import SceneRecipe, generate_scene, recipe_from_kv
 
 KNOWN_METHODS = ("fcll_gplvm", "vca_fcls")
 # spectral map of the GP mean: the fixed PCA basis, or the fit's posterior-mean map
@@ -121,34 +122,10 @@ def parse_config(text: str) -> tuple[ExperimentConfig, str]:
     """Parse the flat key=value experiment format; returns (config, outdir)."""
     values = parse_kv(text)
 
-    def take(key, conv, default=None):
-        if key in values:
-            return conv(values.pop(key))
-        if default is None:
-            raise ValueError(f"missing required key {key!r}")
-        return default
+    def take(key, conv, default):
+        return conv(values.pop(key)) if key in values else default
 
-    model = take("model", str)
-    r = take("r", int)
-    gamma_coeffs = values.pop("gbm_gamma", None)
-    gamma_m = None
-    if model == "gbm":
-        coeffs = (
-            [float(v) for v in gamma_coeffs.split(",")]
-            if gamma_coeffs
-            else DEFAULT_GBM_GAMMA
-        )
-        gamma_m = gamma_matrix(r, coeffs)
-    recipe = SceneRecipe(
-        model=model,
-        R=r,
-        L=take("l", int),
-        N=take("n", int),
-        sigma2=take("sigma2", float),
-        seed=take("seed", int),
-        amax=take("amax", float, 1.0),
-        gamma=gamma_m,
-    )
+    recipe = recipe_from_kv(values)
     config = ExperimentConfig(
         recipe=recipe,
         gamma=take("gamma", float, 1e3),
@@ -165,17 +142,16 @@ def parse_config(text: str) -> tuple[ExperimentConfig, str]:
     return config, outdir
 
 
+@contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Tag an ``Exception`` raised in the block with the stage ``name``;
+    anything else, such as ``KeyboardInterrupt``, passes through as is."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def reduce_stage(

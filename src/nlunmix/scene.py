@@ -72,6 +72,51 @@ def gamma_matrix(R: int, coeffs) -> np.ndarray:
     return g
 
 
+def recipe_to_kv(recipe: SceneRecipe) -> dict:
+    """The recipe as ``recipe.txt`` stores it, one key=value line per entry:
+    floats to 17 significant digits, and for the GBM the comma-separated
+    pair coefficients in :func:`gamma_matrix` order."""
+    kv = {
+        "model": recipe.model,
+        "r": recipe.R,
+        "l": recipe.L,
+        "n": recipe.N,
+        "sigma2": format(recipe.sigma2, ".17g"),
+        "amax": format(recipe.amax, ".17g"),
+        "seed": recipe.seed,
+    }
+    if recipe.model == "gbm":
+        pairs = combinations(range(recipe.R), 2)
+        kv["gbm_gamma"] = ",".join(format(recipe.gamma[i, j], ".17g") for i, j in pairs)
+    return kv
+
+
+def recipe_from_kv(values: dict) -> SceneRecipe:
+    """The recipe whose keys ``values`` holds, as strings (``parse_kv``) or
+    as numbers.  The recipe keys are popped, so the caller sees what is
+    left.  ``amax`` defaults to 1; a GBM recipe without ``gbm_gamma`` (or
+    with an empty one) gets ``DEFAULT_GBM_GAMMA``, which fits only R = 3."""
+    for key in ("model", "r", "l", "n", "sigma2", "seed"):
+        if key not in values:
+            raise ValueError(f"missing required key {key!r}")
+    model, R = str(values.pop("model")), int(values.pop("r"))
+    coeffs = values.pop("gbm_gamma", None)
+    gamma = None
+    if model == "gbm":
+        coeffs = [float(v) for v in coeffs.split(",")] if coeffs else DEFAULT_GBM_GAMMA
+        gamma = gamma_matrix(R, coeffs)
+    return SceneRecipe(
+        model=model,
+        R=R,
+        L=int(values.pop("l")),
+        N=int(values.pop("n")),
+        sigma2=float(values.pop("sigma2")),
+        seed=int(values.pop("seed")),
+        amax=float(values.pop("amax", 1.0)),
+        gamma=gamma,
+    )
+
+
 def default_recipe(model: str, seed: int = 0, amax: float = 1.0) -> SceneRecipe:
     """Desk-scale benchmark recipe: N=2500 pixels, R=3, L=160, sigma2=1e-4,
     GBM coefficients ``DEFAULT_GBM_GAMMA``."""

@@ -20,6 +20,10 @@ Gradient = Callable[[np.ndarray], np.ndarray]
 MAX_CONSECUTIVE_FAILURES = 20
 SCALE_MAX = 1e20
 SCALE_MIN = 1e-15
+# first Levenberg-Marquardt scale, and the length of the curvature probe
+# along a unit search direction
+SCALE0 = 1e-4
+SIGMA0 = 1e-4
 
 
 class ScgError(RuntimeError):
@@ -32,6 +36,9 @@ class ScgStartError(ScgError, ValueError):
 
 @dataclass(frozen=True)
 class ScgResult:
+    """Objective trace, termination info and work counts of one run; the
+    latent fit reports it as ``nlunmix.FitReport``."""
+
     trace: np.ndarray  # accepted objective values, initial value first
     iterations: int
     converged: bool
@@ -46,8 +53,6 @@ def scg(
     w0: np.ndarray,
     max_iter: int = 2000,
     tol: float = 1e-8,
-    sigma0: float = 1e-4,
-    scale0: float = 1e-4,
     gradient: Gradient | None = None,
 ) -> tuple[np.ndarray, ScgResult]:
     """Minimize ``fg`` starting at ``w0``.
@@ -77,7 +82,7 @@ def scg(
 
     n = w.size
     d = -g
-    scale = scale0
+    scale = SCALE0
     success = True
     theta = 1.0
     mu = kappa = 0.0
@@ -101,7 +106,7 @@ def scg(
                 break
             # directional second derivative from one extra gradient; shrink
             # the probe a few times if it lands on a rejected point
-            step = sigma0 / np.sqrt(kappa)
+            step = SIGMA0 / np.sqrt(kappa)
             probed = None
             for _ in range(4):
                 if gradient is None:
