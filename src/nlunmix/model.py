@@ -8,6 +8,11 @@ log-determinants cost O(N * D^2) and never materialize an N x N matrix.
 """
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
+import re
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -31,28 +36,138 @@ U_MAX = 1e3
 # Most bytes of an N x (L + D) row block: about half of a 2 MiB L2 cache.
 # The objective's row-wise phases (the residual, the solve's
 # back-substitution and the gradient's N x D combination) take rows in
-# blocks of this size, so that a block's intermediates are still in cache
-# when the next operation of the phase reads them.  Row-wise arithmetic does
-# not depend on the split, so results do not depend on this constant.
+# blocks of at most this size, so that a block's intermediates are still in
+# cache when the next operation of the phase reads them.  An array larger
+# than one block is cut into an even count of blocks of equal size (to a
+# row), so that the calling thread and the helper thread (see
+# :func:`_second_worker`) each take half of the rows.  Row-wise arithmetic
+# does not depend on the split, so results depend neither on this constant
+# nor on the helper.
 ROW_BLOCK_BYTES = 2**20
 
 
 def _row_blocks(n: int, width: int) -> tuple[slice, ...]:
-    """Consecutive row slices covering an n x ``width`` float64 array, each
-    of at most ``ROW_BLOCK_BYTES`` and at least two rows.  A trailing single
-    row joins the block before it: numpy computes a one-row matrix product
-    with a matrix-vector kernel, which rounds differently from the same row
-    inside a matrix product.  The workspace and the solve both take their
-    split from here."""
+    """Consecutive row slices covering an n x ``width`` float64 array: one
+    slice when the array fits in ``ROW_BLOCK_BYTES``, else an even count of
+    slices whose sizes differ by at most one row, each of at most
+    ``ROW_BLOCK_BYTES`` and at least two rows (the two-row floor wins over
+    the byte bound).  No slice has a single row: numpy computes a one-row
+    matrix product with a matrix-vector kernel, which rounds differently
+    from the same row inside a matrix product.  The workspace and the solve
+    both take their split from here."""
     return _split_rows(n, max(2, ROW_BLOCK_BYTES // (8 * max(width, 1))))
 
 
 @lru_cache(maxsize=8)
 def _split_rows(n: int, step: int) -> tuple[slice, ...]:
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
+    count = -(-n // step)
+    if count > 1:
+        count = min(count + count % 2, n // 4 * 2)
+    if count < 2:
+        return (slice(0, n),)
+    size, longer = divmod(n, count)
+    starts = [i * size + min(i, longer) for i in range(count + 1)]
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:]))
+
+
+# The helper thread of the objective's second worker: one thread, made the
+# first time a second worker runs, and forgotten in a forked child, which
+# does not inherit the thread.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_thread():
+    """The one-worker executor of the helper thread, made on first use."""
+    global _helper
+    if _helper is None:
+        with _helper_lock:
+            if _helper is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nlunmix-rows")
+    return _helper
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_counts() -> tuple | None:
+    """The ``get_num_threads`` entries of the OpenBLAS libraries loaded when
+    first asked (numpy's and scipy's are loaded with this module), or None
+    when none is loaded, the list cannot be read or a library lacks the
+    entry."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(set(re.findall(r"/\S*openblas\S*\.so\S*", fh.read())))
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    entries = []
+    for lib in libs:
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            entry = getattr(lib, name, None)
+            if entry is not None:
+                entry.restype, entry.argtypes = ctypes.c_int, []
+                entries.append(entry)
+                break
+        else:
+            return None
+    return tuple(entries) or None
+
+
+def _second_worker(n_blocks: int):
+    """The helper thread's executor when a row-wise phase of ``n_blocks``
+    blocks may run on two workers, else None (everything runs in the calling
+    thread).  That needs two CPUs this process may use, one thread in every
+    loaded OpenBLAS, and two blocks for each worker.  With more BLAS
+    threads, OpenBLAS's spinning threads take the helper's core and the
+    split evaluation ran 5-19% slower; a thread count that cannot be read
+    counts as more than one.  Each evaluation hands work to the helper four
+    times, at about 50 us each, so a small scene does not pay for it: at
+    L = 160 the split evaluation was 13-27% slower at N = 800 (two blocks)
+    and faster from N = 1,100 on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if n_blocks < 4 or affinity is None or len(affinity(0)) < 2:
+        return None
+    counts = _openblas_thread_counts()
+    if counts is None or any(get() != 1 for get in counts):
+        return None
+    return _helper_thread()
+
+
+def _together(helper, here, there):
+    """``(here(), there())``, with ``there`` on the helper thread while
+    ``here`` runs in this one, or both in this one when ``helper`` is None.
+    The helper runs in a copy of this thread's context, so numpy's error
+    state applies to it too.  Both have finished when this returns or
+    raises; an exception of either propagates."""
+    if helper is None:
+        return here(), there()
+    future = helper.submit(contextvars.copy_context().run, there)
+    try:
+        got = here()
+    finally:
+        future.exception()  # wait: the helper may still be writing shared buffers
+    return got, future.result()
+
+
+def _halves(helper, task, blocks) -> None:
+    """``task`` over the first half of ``blocks`` here and over the second
+    half on the helper thread, or over all of them here in one call."""
+    if helper is None:
+        task(blocks)
+        return
+    half = len(blocks) // 2
+    _together(helper, lambda: task(blocks[:half]), lambda: task(blocks[half:]))
 
 
 def feature_dim(R: int) -> int:
@@ -155,11 +270,13 @@ class WoodburySolver:
 
         ``out`` optionally receives the result (hot loops reuse buffers to
         avoid churning large allocations); it may be B itself.  The
-        projection W^T B onto the basis is one whole-array product; the
-        back-substitution (B - W inner) / sigma2 then runs over the row
-        blocks of :func:`_row_blocks`, each finished while it is in cache;
-        for a right-hand side as wide as the workspace's these are the
-        workspace's blocks.  The result does not depend on the block size."""
+        projection W^T B onto the basis is one whole-array product in the
+        calling thread; the back-substitution (B - W inner) / sigma2 then
+        runs over the row blocks of :func:`_row_blocks`, each finished while
+        it is in cache, the second half of them on the helper thread when
+        :func:`_second_worker` allows one; for a right-hand side as wide as
+        the workspace's these are the workspace's blocks.  The result
+        depends neither on the block size nor on the helper."""
         B = np.asarray(B, float)
         if self._basis is None:
             if out is None:
@@ -178,11 +295,16 @@ class WoodburySolver:
             inner = shrink[:, None] * WtB
         if out is None:
             out = np.empty(B.shape)
-        for rows in _row_blocks(B.shape[0], B.shape[1] if B.ndim == 2 else 1):
-            block = out[rows]
-            np.matmul(self._basis[rows], inner, out=block)
-            np.subtract(B[rows], block, out=block)
-            block /= self.sigma2
+
+        def back_substitute(blocks):
+            for rows in blocks:
+                block = out[rows]
+                np.matmul(self._basis[rows], inner, out=block)
+                np.subtract(B[rows], block, out=block)
+                block /= self.sigma2
+
+        blocks = _row_blocks(B.shape[0], B.shape[1] if B.ndim == 2 else 1)
+        _halves(_second_worker(len(blocks)), back_substitute, blocks)
         return out
 
     def logdet(self) -> float:
@@ -297,11 +419,14 @@ class _Workspace:
     do not allocate their N-sized intermediates afresh, and the row block
     views of the evaluation's row-wise phases, worked out once per fit.
 
-    A row block holds ``ROW_BLOCK_BYTES`` of an N x (L+D) row, one row more
-    when a single row is left over (see :func:`_row_blocks`); small scenes,
-    up to 789 rows at L = 160, D = 6, are one block.  The residual phase
-    forms each block of Ybar in the head of ``solved``, not yet in use, so
-    no buffer is added for it."""
+    A row block holds at most ``ROW_BLOCK_BYTES`` of an N x (L+D) row (see
+    :func:`_row_blocks`); small scenes, up to 789 rows at L = 160, D = 6, are
+    one block, and larger ones an even count of equal blocks, the first half
+    for the calling thread and the second for the helper.  The residual
+    phase forms each block of Ybar in a scratch inside ``solved``, which is
+    not yet in use then: the calling thread's blocks share the head of
+    ``solved``, and the helper's blocks share the start of the helper's half
+    of it, so the two workers never write the same scratch."""
 
     def __init__(self, Yc: np.ndarray, R: int):
         n_pixels, L = Yc.shape
@@ -316,18 +441,45 @@ class _Workspace:
         self.stacked = np.empty((n_pixels, L + D))
         self.solved = np.empty((n_pixels, L + D))
         blocks = _row_blocks(n_pixels, L + D)
-        head = self.solved.reshape(-1)
+        flat = self.solved.reshape(-1)
+        helper_start = blocks[len(blocks) // 2].start * (L + D)
+
+        def ybar_scratch(i, rows):
+            start = 0 if i < len(blocks) // 2 else helper_start
+            return flat[start : start + (rows.stop - rows.start) * L].reshape(-1, L)
+
         # (Yc, C, Ybar scratch, stacked Ybar, stacked C) per block
         self.residual_blocks = [
-            (Yc[rows], self.C[rows], head[: (rows.stop - rows.start) * L].reshape(-1, L),
+            (Yc[rows], self.C[rows], ybar_scratch(i, rows),
              self.stacked[rows, :L], self.stacked[rows, L:])
-            for rows in blocks
+            for i, rows in enumerate(blocks)
         ]
         # (Sigma^-1 Ybar, Sigma^-1 C, Gc, scratch) per block
         self.gradient_blocks = [
             (self.solved[rows, :L], self.solved[rows, L:], self.Gc[rows], self.scratch[rows])
             for rows in blocks
         ]
+
+
+def _residual(blocks, basis_t) -> None:
+    """Ybar = Yc - C P^T and the stacked right-hand side [Ybar | C] over
+    residual blocks of a workspace.  Ybar is subtracted in a contiguous
+    scratch and then copied: numpy's subtraction into the strided column
+    block of ``stacked`` measured 1.1-1.6x slower on 400- and 789-row
+    blocks, which sit in cache."""
+    for Yc_b, C_b, Ybar_b, stacked_y, stacked_c in blocks:
+        np.matmul(C_b, basis_t, out=Ybar_b)
+        np.subtract(Yc_b, Ybar_b, out=Ybar_b)
+        stacked_y[...] = Ybar_b
+        stacked_c[...] = C_b
+
+
+def _gc(blocks, s2L, through_ybar) -> None:
+    """Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P) over gradient blocks
+    of a workspace."""
+    for SiY_b, SiC_b, Gc_b, scratch_b in blocks:
+        np.multiply(s2L, SiC_b, out=Gc_b)
+        Gc_b -= np.matmul(SiY_b, through_ybar, out=scratch_b)
 
 
 def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
@@ -348,6 +500,14 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     and the SVD stay whole-array calls: splitting a reduction changes its
     rounding, while splitting rows does not.  So the result does not depend
     on ``ROW_BLOCK_BYTES``.
+
+    When :func:`_second_worker` allows one, the helper thread takes the
+    second half of each row-wise phase's blocks, and it computes the value
+    terms and the sigma2 term's data sum while this thread forms Q.  Each is
+    the same call on the same operands as without the helper, so the result
+    does not depend on it either.  Every BLAS and LAPACK reduction (C^T C,
+    the Cholesky factor, the SVD, W^T B, Q, Psi^T Gc) runs in the calling
+    thread, whose BLAS thread count decides their rounding.
     """
     if not _within_bounds(U, s2, sigma2):
         return None
@@ -356,44 +516,41 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     Psi = psi_batch(X, out=ws.Psi)
     C = np.matmul(Psi, U, out=ws.C)
     wb = WoodburySolver(C, s2, sigma2)
+    helper = _second_worker(len(ws.residual_blocks))
     basis_t = ctx.pbar.basis.T
-    # Ybar is subtracted in a contiguous scratch and then copied: numpy's
-    # subtraction into the strided column block of ``stacked`` measured
-    # 1.1-1.6x slower on 400- and 789-row blocks, which sit in cache
-    for Yc_b, C_b, Ybar_b, stacked_y, stacked_c in ws.residual_blocks:
-        np.matmul(C_b, basis_t, out=Ybar_b)
-        np.subtract(Yc_b, Ybar_b, out=Ybar_b)
-        stacked_y[...] = Ybar_b
-        stacked_c[...] = C_b
+    _halves(helper, lambda blocks: _residual(blocks, basis_t), ws.residual_blocks)
     stacked, solved = ws.stacked, ws.solved
     Ybar = stacked[:, :L]
     wb.solve(stacked, out=solved)
     SiY = solved[:, :L]
     SiC = solved[:, L:]
-    value = np.nan
-    if want_value:
+
+    def value_terms():
         Mx = ctx._resid_op @ X
-        value = (
+        return (
             0.5 * L * wb.logdet()
             + 0.5 * float(np.einsum("ij,ij->", Ybar, SiY))
             + 0.5 * ctx.gamma * float((Mx * Mx).sum())
         )
-    if grad is None:
-        return value
 
-    g_xfree, g_u, g_logs = _blocks(grad, n, R)
+    if grad is None:
+        return value_terms() if want_value else np.nan
+
+    def sums_beside_q():
+        value = value_terms() if want_value else np.nan
+        return value, float(np.einsum("ij,ij->", SiY, SiY))
+
     # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
     # same single product over the pixels, which OpenBLAS runs 2-2.5x
     # faster with the small dimension first.  The fit's bits rest on the two
     # orders summing alike; TestRowBlocks pins that on the shipped shapes,
     # so a BLAS that rounds them differently fails there.  The copy keeps Q
     # C-ordered
-    Q = (SiC.T @ Ybar).T.copy()
+    Q, (value, SiY_sq) = _together(helper, lambda: (SiC.T @ Ybar).T.copy(), sums_beside_q)
+    g_xfree, g_u, g_logs = _blocks(grad, n, R)
     # dE/dC through Sigma and through Ybar, fused into one N x L product
     through_ybar = s2 * Q + ctx.pbar.basis
-    for SiY_b, SiC_b, Gc_b, scratch_b in ws.gradient_blocks:
-        np.multiply(s2 * L, SiC_b, out=Gc_b)
-        Gc_b -= np.matmul(SiY_b, through_ybar, out=scratch_b)
+    _halves(helper, lambda blocks: _gc(blocks, s2 * L, through_ybar), ws.gradient_blocks)
     Gc = ws.Gc
     np.matmul(Psi.T, Gc, out=g_u)
     Gpsi = np.matmul(Gc, U.T, out=ws.scratch)
@@ -407,7 +564,7 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     np.subtract(GX[:, : R - 1], GX[:, R - 1 :], out=g_xfree)
     CSiC = np.multiply(C, SiC, out=ws.scratch)
     g_s2 = 0.5 * L * float(CSiC.sum()) - 0.5 * float((Q * Q).sum())
-    g_sigma2 = 0.5 * L * wb.trace_inv() - 0.5 * float(np.einsum("ij,ij->", SiY, SiY))
+    g_sigma2 = 0.5 * L * wb.trace_inv() - 0.5 * SiY_sq
     g_logs[0] = s2 * g_s2
     g_logs[1] = sigma2 * g_sigma2
     return value
@@ -470,8 +627,12 @@ def objective_function(ctx: ModelContext, n_pixels: int, R: int):
     evaluation of one callable reuses one set of buffers and one set of row
     blocks of ``ROW_BLOCK_BYTES`` (see ``_Workspace`` and
     ``_evaluate``), so the constant is read when the callable is made; each
-    returned gradient is a fresh array.  Values and gradients do not depend
-    on the block size.
+    returned gradient is a fresh array.  Each evaluation of a scene of four
+    or more blocks checks anew whether the helper thread may take half of
+    its row-wise work (see :func:`_second_worker`); the callable has no
+    setting for it.  Values and gradients depend neither on the block size
+    nor on the helper.  One callable is not for concurrent use: its
+    evaluations share the buffers.
     """
     ws = _Workspace(ctx.Yc, R)
 

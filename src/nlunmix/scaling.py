@@ -12,10 +12,10 @@ The penalized objective reads the points as one C-ordered R x N array of
 homogeneous columns, built once per fit, so its barycentric coordinates come
 from one R x R by R x N product and its penalty from one R x N by N x R
 product.  Each penalty stage is minimized over the (R-1) x R vertex entries
-by a dense BFGS (:func:`_bfgs`) and then polished by finite-difference
-Newton steps.  With (R-1) * R unknowns (6 at R = 3) a dense inverse Hessian
-costs nothing next to one pass over the points, so no limited-memory solver
-is needed and the module imports nothing from ``scipy.optimize``.
+by a dense BFGS (:func:`_bfgs`).  With (R-1) * R unknowns (6 at R = 3) a
+dense inverse Hessian costs nothing next to one pass over the points, so no
+limited-memory solver is needed and the module imports nothing from
+``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,10 @@ class SimplexFit:
     ``vertices`` is (R-1) x R with one simplex vertex per column (latent
     coordinates); ``v_r`` is the R x R map whose columns append the
     completing coordinate 1 - colsum, so constrained latents are exactly
-    ``abundances @ v_r.T``.
+    ``abundances @ v_r.T``.  ``stages`` holds, per BFGS stage in the order
+    run (the ``MU_SCHEDULE`` stages, then the noise-weighted one if it ran),
+    the rule that stopped it (see :func:`_bfgs`) and its final largest
+    absolute gradient entry.
     """
 
     vertices: np.ndarray
@@ -44,6 +47,7 @@ class SimplexFit:
     v_r: np.ndarray
     volume: float
     init_volume: float
+    stages: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         V = np.array(self.vertices, float)
@@ -218,42 +222,6 @@ def _bfgs(fg, x0: np.ndarray, maxiter: int = 500, gtol: float = 1e-12, ftol: flo
     return x, maxiter, "maxiter"
 
 
-def _newton_polish(V: np.ndarray, Xt: np.ndarray, R: int, mu) -> np.ndarray:
-    """A few damped Newton steps on the penalized objective.
-
-    The parameter space is tiny ((R-1) * R entries), so a finite-difference
-    Hessian of the analytic gradient is cheap and pushes the gradient norm
-    to solver precision, which the affine-equivariance guarantee needs.
-    """
-    v = V.ravel().copy()
-    dim = v.size
-    h = 1e-7
-    for _ in range(8):
-        f0, g0 = _penalized_objective(v, Xt, R, mu)
-        if np.linalg.norm(g0) < 1e-11 * max(1.0, Xt.shape[1]):
-            break
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            H[:, i] = (_penalized_objective(v + e, Xt, R, mu)[1] - g0) / h
-        H = 0.5 * (H + H.T)
-        try:
-            step = np.linalg.solve(H + 1e-12 * np.eye(dim), g0)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        for _ in range(30):
-            f1, _ = _penalized_objective(v - t * step, Xt, R, mu)
-            if f1 <= f0:
-                v = v - t * step
-                break
-            t *= 0.5
-        else:
-            break
-    return v.reshape(R - 1, R)
-
-
 def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> SimplexFit:
     """Fit the minimum-volume enclosing simplex to N x (R-1) latent points.
 
@@ -278,12 +246,17 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
         raise ValueError("latent points do not span R-1 dimensions")
     Xt = _homogeneous(X)
 
+    stages = []
+
+    def stage(V, mu):
+        v, _, stop = _bfgs(lambda v: _penalized_objective(v, Xt, R, mu), V.ravel())
+        stages.append((stop, float(np.max(np.abs(_penalized_objective(v, Xt, R, mu)[1])))))
+        return v.reshape(R - 1, R)
+
     V = _inflate_to_contain(_nfindr(X), X)
     init_volume = abs(np.linalg.det(_augment(V)))
     for mu in MU_SCHEDULE:
-        v, _, _ = _bfgs(lambda v: _penalized_objective(v, Xt, R, mu), V.ravel())
-        V = v.reshape(R - 1, R)
-    V = _newton_polish(V, Xt, R, MU_SCHEDULE[-1])
+        V = stage(V, mu)
 
     if noise_scale is not None and noise_scale > 0:
         # convert barycentric violations to Euclidean distances with the
@@ -291,9 +264,7 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
         W = np.linalg.inv(_augment(V))
         face_norm2 = np.sum(W[:, : R - 1] ** 2, axis=1)
         mu_faces = 1.0 / (2.0 * n * noise_scale**2 * face_norm2)
-        mu_faces = np.minimum(mu_faces, MU_SCHEDULE[-1])
-        v, _, _ = _bfgs(lambda v: _penalized_objective(v, Xt, R, mu_faces), V.ravel())
-        V = _newton_polish(v.reshape(R - 1, R), Xt, R, mu_faces)
+        V = stage(V, np.minimum(mu_faces, MU_SCHEDULE[-1]))
 
     abund = AbundanceMatrix(simplex_lstsq(V, X))
     v_r = np.vstack([V, 1.0 - V.sum(axis=0)])
@@ -303,6 +274,7 @@ def fit_min_volume_simplex(X: np.ndarray, noise_scale: float | None = None) -> S
         v_r=v_r,
         volume=abs(np.linalg.det(_augment(V))),
         init_volume=init_volume,
+        stages=tuple(stages),
     )
 
 

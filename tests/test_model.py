@@ -1,5 +1,7 @@
 """Oracle tests for the feature map, Woodbury algebra, objective, gradient,
 and spectral-map recovery."""
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -405,10 +407,10 @@ class TestObjectiveEntries:
 
 
 class TestRowBlocks:
-    """The objective's row-wise phases run over row blocks of
+    """The objective's row-wise phases run over row blocks of at most
     ``ROW_BLOCK_BYTES``; no result may depend on the block size.  N = 120 is
-    a multiple of neither 7 nor 64 and leaves one row after the 7-row
-    blocks."""
+    a multiple of neither 7 nor 64, so the blocks of at most 7 rows are of
+    6 and 7 rows."""
 
     n, l, R = 120, 20, 3
 
@@ -430,7 +432,10 @@ class TestRowBlocks:
         whole = [(fg(w), fg.gradient(w)) for w in ws]
         self._block_rows(monkeypatch, rows)
         blocks = model._Workspace(ctx.Yc, self.R).residual_blocks
-        assert len(blocks) == -(-self.n // rows) - (self.n % rows == 1)
+        count = -(-self.n // rows)
+        assert len(blocks) == count + count % 2
+        sizes = {Yc_b.shape[0] for Yc_b, *_ in blocks}
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
         fg = objective_function(ctx, self.n, self.R)
         for w, ((value, g), g_probe) in zip(ws, whole):
             got_value, got_g = fg(w)
@@ -455,6 +460,22 @@ class TestRowBlocks:
         assert np.array_equal(wb.solve(B[:, 0]), whole[1])
         in_place = B.copy()
         assert np.array_equal(wb.solve(in_place, out=in_place), whole[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 120, 2500, 10000])
+    @pytest.mark.parametrize("step", [2, 3, 7, 789])
+    def test_blocks_are_an_even_count_of_equal_blocks(self, n, step):
+        blocks = model._split_rows(n, step)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        if len(blocks) == 1:
+            # one block: the array fits, or it is too short to halve
+            assert n <= step or n < 4
+        else:
+            assert len(blocks) % 2 == 0
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 2
+            # the byte bound holds unless the two-row floor forbids it
+            assert max(sizes) <= step or len(blocks) == n // 4 * 2
 
     @pytest.mark.parametrize("n", [400, 2500, 10000])
     def test_q_orientation_sums_alike(self, n):
@@ -491,6 +512,188 @@ class TestRowBlocks:
         # each at most N x D, against the N x L (here 27x larger) residual
         # and solve blocks, which must all live in the workspace
         assert peak < 4 * n * feature_dim(R) * 8 < n * l * 8 / 6
+
+
+def force_second_worker(monkeypatch, on):
+    """Run the objective's split phases on the helper thread (``on``) or all
+    in the calling thread, whatever the host and the BLAS thread count."""
+    monkeypatch.setattr(model, "_second_worker",
+                        (lambda n_blocks: model._helper_thread()) if on else (lambda n_blocks: None))
+
+
+class TestSecondWorker:
+    """The helper thread takes half of each row-wise phase and the sums
+    beside Q; no result may depend on it.  Blocks as in TestRowBlocks."""
+
+    n, l, R = 120, 20, 3
+
+    def _setup(self, seed, rows, monkeypatch):
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * (self.l + feature_dim(self.R)))
+        rng = np.random.default_rng(seed)
+        ctx = tiny_ctx(rng, n=self.n, l=self.l, R=self.R, gamma=1.3)
+        states = [random_state(rng, self.n, self.R, s2=float(rng.uniform(0.2, 1.5)))
+                  for _ in range(3)]
+        assert len(model._Workspace(ctx.Yc, self.R).residual_blocks) >= 2
+        return ctx, [pack(st) for st in states]
+
+    def _entries(self, ctx, ws, on, monkeypatch):
+        force_second_worker(monkeypatch, on)
+        fg = objective_function(ctx, self.n, self.R)
+        return [(fg(w), fg.gradient(w)) for w in ws]
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_objective_does_not_depend_on_the_helper(self, rows, monkeypatch):
+        ctx, ws = self._setup(41, rows, monkeypatch)
+        alone = self._entries(ctx, ws, False, monkeypatch)
+        for ((value, g), g_probe), ((got_value, got_g), got_probe) in zip(
+                alone, self._entries(ctx, ws, True, monkeypatch)):
+            assert np.isfinite(value) and got_value == value
+            assert np.array_equal(got_g, g)
+            assert np.array_equal(got_probe, g_probe)
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_solve_does_not_depend_on_the_helper(self, rows, monkeypatch):
+        rng = np.random.default_rng(42)
+        width = self.l + feature_dim(self.R)
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * width)
+        C = rng.normal(size=(self.n, feature_dim(self.R)))
+        B = rng.normal(size=(self.n, width))
+        wb = WoodburySolver(C, 0.7, 0.05)
+
+        def solves():
+            out, in_place = np.empty_like(B), B.copy()
+            assert wb.solve(B, out=out) is out
+            assert wb.solve(in_place, out=in_place) is in_place
+            return wb.solve(B), wb.solve(B[:, 0]), out, in_place
+
+        force_second_worker(monkeypatch, False)
+        alone = solves()
+        force_second_worker(monkeypatch, True)
+        # a vector also splits once its blocks are of `rows` entries
+        assert len(model._row_blocks(self.n, 1)) == 1
+        for got, want in zip(solves(), alone):
+            assert np.array_equal(got, want)
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8)
+        assert len(model._row_blocks(self.n, 1)) >= 2
+        assert np.array_equal(wb.solve(B[:, 0]), alone[1])
+
+    def test_rejected_states_give_nan_gradients(self, monkeypatch):
+        ctx, (w, _, _) = self._setup(43, 7, monkeypatch)
+        force_second_worker(monkeypatch, True)
+        fg = objective_function(ctx, self.n, self.R)
+
+        def assert_rejected(x):
+            value, g = fg(x)
+            assert value == np.inf and np.all(np.isnan(g))
+            assert np.all(np.isnan(fg.gradient(x)))
+
+        assert_rejected(pack(random_state(np.random.default_rng(0), self.n, self.R, s2=1e9)))
+
+        def broken_core(*args):
+            raise WoodburyError("forced breakdown", pivot=2)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "WoodburySolver", broken_core)
+            assert_rejected(w)
+        assert np.isfinite(fg(w)[0])
+
+    def test_helper_failure_propagates_and_the_next_evaluation_works(self, monkeypatch):
+        ctx, (w, _, _) = self._setup(44, 7, monkeypatch)
+        force_second_worker(monkeypatch, False)
+        fg = objective_function(ctx, self.n, self.R)
+        want = fg(w)
+        helper = model._helper_thread()
+
+        class FailsOnce:
+            armed = True
+
+            def submit(self, fn, *args):
+                if FailsOnce.armed:
+                    FailsOnce.armed = False
+
+                    def fail():
+                        raise RuntimeError("helper task failed")
+
+                    return helper.submit(fail)
+                return helper.submit(fn, *args)
+
+        monkeypatch.setattr(model, "_second_worker", lambda n_blocks: FailsOnce())
+        with pytest.raises(RuntimeError, match="helper task failed"):
+            fg(w)
+        got = fg(w)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_helper_runs_in_the_callers_context(self):
+        # numpy's error state reaches the helper, as it reaches inline code
+        def over():
+            return np.geterr()["over"]
+
+        helper = model._helper_thread()
+        for mode in ("raise", "ignore"):
+            with np.errstate(over=mode):
+                assert model._together(helper, over, over) == (mode, mode)
+
+    def test_callers_sharing_the_helper_get_their_own_results(self, monkeypatch):
+        # four calling threads, each with its own callable, queue their
+        # halves on the one helper while threads switch every microsecond
+        ctx, ws = self._setup(46, 7, monkeypatch)
+        want = self._entries(ctx, ws, False, monkeypatch)
+        force_second_worker(monkeypatch, True)
+        got, failures = {}, []
+
+        def caller(k):
+            try:
+                fg = objective_function(ctx, self.n, self.R)
+                got[k] = [(fg(w), fg.gradient(w)) for w in ws * 5]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not failures
+        for results in got.values():
+            for ((value, g), g_probe), ((want_value, want_g), want_probe) in zip(
+                    results, want * 5):
+                assert value == want_value
+                assert np.array_equal(g, want_g) and np.array_equal(g_probe, want_probe)
+        assert len(got) == 4
+
+    def test_workers_take_separate_scratch(self, monkeypatch):
+        for rows in (7, 64):
+            monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * (self.l + feature_dim(self.R)))
+            ws = model._Workspace(np.zeros((self.n, self.l)), self.R)
+            scratch = [block[2] for block in ws.residual_blocks]
+            half = len(scratch) // 2
+            assert half >= 1
+            for mine in scratch[:half]:
+                for theirs in scratch[half:]:
+                    assert not np.shares_memory(mine, theirs)
+
+    def test_when_the_helper_runs(self, monkeypatch):
+        helper = model._helper_thread()
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(model, "_openblas_thread_counts", lambda: (lambda: 1, lambda: 1))
+        assert model._second_worker(4) is helper
+        # each worker needs two blocks
+        assert model._second_worker(2) is None and model._second_worker(1) is None
+        monkeypatch.setattr(model, "_openblas_thread_counts", lambda: (lambda: 1, lambda: 2))
+        assert model._second_worker(4) is None
+        monkeypatch.setattr(model, "_openblas_thread_counts", lambda: None)
+        assert model._second_worker(4) is None
+        monkeypatch.setattr(model, "_openblas_thread_counts", lambda: (lambda: 1,))
+        assert model._second_worker(4) is helper
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert model._second_worker(4) is None
+        monkeypatch.delattr(model.os, "sched_getaffinity", raising=False)
+        assert model._second_worker(4) is None
 
 
 class TestPackUnpack:

@@ -12,7 +12,6 @@ from nlunmix.scaling import (
     _bfgs,
     _homogeneous,
     _inflate_to_contain,
-    _newton_polish,
     _nfindr,
     _penalized_objective,
     constrained_latents,
@@ -124,12 +123,11 @@ def _reference_vertices(X, noise_scale=None):
     V = _inflate_to_contain(_nfindr(X), X)
     for mu in MU_SCHEDULE:
         V = lbfgsb(V, mu)
-    V = _newton_polish(V, Xt, R, MU_SCHEDULE[-1])
     if noise_scale is not None and noise_scale > 0:
         W = np.linalg.inv(_augment(V))
         face_norm2 = np.sum(W[:, : R - 1] ** 2, axis=1)
         mu_faces = np.minimum(1.0 / (2.0 * n * noise_scale**2 * face_norm2), MU_SCHEDULE[-1])
-        V = _newton_polish(lbfgsb(V, mu_faces), Xt, R, mu_faces)
+        V = lbfgsb(V, mu_faces)
     return V
 
 
@@ -193,6 +191,18 @@ class TestFitMinVolumeSimplex:
         v = fit.abundances.values
         assert v.min() >= 0.0
         assert np.max(np.abs(v.sum(axis=1) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("noise_scale", [None, 0.01])
+    def test_reports_each_stage_stop(self, noise_scale):
+        V_true = np.array([[0.0, 1.0, 0.3], [0.0, 0.2, 1.1]])
+        X, _ = latent_cloud(V_true, 600, amax=0.9, seed=3)
+        fit = fit_min_volume_simplex(X, noise_scale=noise_scale)
+        assert len(fit.stages) == len(MU_SCHEDULE) + (noise_scale is not None)
+        for stop, grad_max in fit.stages:
+            assert stop in ("gtol", "ftol", "linesearch", "maxiter")
+            assert 0.0 <= grad_max < np.inf
+            # only the gradient-norm rule promises a gradient at gtol
+            assert stop != "gtol" or grad_max <= 1e-12
 
     def test_volume_not_above_initialization(self):
         for seed in range(4):

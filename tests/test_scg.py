@@ -240,8 +240,8 @@ def test_gradient_only_probes_keep_the_trajectory(fixture, monkeypatch):
     ids=["lmm", "gbm"],
 )
 def test_fit_does_not_depend_on_the_row_block_size(fixture, monkeypatch):
-    # 7-row and 64-row blocks, N a multiple of neither (and one row left
-    # after the 7-row blocks), must take exactly the one-block path
+    # blocks of at most 7 and 64 rows, N a multiple of neither, must take
+    # exactly the one-block path
     fx = fixture()
     state0 = initial_state(fx.ctx, fx.x0)
     whole, whole_report = scg_optimize(state0, fx.ctx, max_iter=300, tol=1e-12)
@@ -256,3 +256,34 @@ def test_fit_does_not_depend_on_the_row_block_size(fixture, monkeypatch):
         assert np.array_equal(report.trace, whole_report.trace)
         assert (report.iterations, report.evaluations, report.probes) == (
             whole_report.iterations, whole_report.evaluations, whole_report.probes)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        lambda: LmmFixture(n=99),
+        lambda: LmmFixture(seed=4, n=85, l=16, gbm=[0.9, 0.5, 0.3]),
+    ],
+    ids=["lmm", "gbm"],
+)
+def test_fit_does_not_depend_on_the_second_worker(fixture, monkeypatch):
+    # the helper thread's halves of the row phases and its sums beside Q
+    # must leave the fit on exactly the path of the fit without it
+    fx = fixture()
+    state0 = initial_state(fx.ctx, fx.x0)
+    width = fx.recipe.L + feature_dim(fx.recipe.R)
+    for rows in (7, 64):
+        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * width)
+        fits = {}
+        for on in (False, True):
+            monkeypatch.setattr(model, "_second_worker", (
+                lambda n_blocks: model._helper_thread()) if on else (lambda n_blocks: None))
+            fits[on] = scg_optimize(state0, fx.ctx, max_iter=300, tol=1e-12)
+        (alone, alone_report), (got, report) = fits[False], fits[True]
+        assert np.array_equal(got.X, alone.X)
+        assert np.array_equal(got.U, alone.U)
+        assert got.s2 == alone.s2 and got.sigma2 == alone.sigma2
+        assert np.array_equal(report.trace, alone_report.trace)
+        assert (report.iterations, report.evaluations, report.probes, report.rejected) == (
+            alone_report.iterations, alone_report.evaluations, alone_report.probes,
+            alone_report.rejected)
