@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EndmemberSet
-from .model import LatentState, psi, psi_batch
+from .model import LatentState, WoodburySolver, psi, psi_batch
 
 SIMPLEX_TOL = 1e-9
 
@@ -24,11 +24,12 @@ class GpPredictor:
     and D-sized statistics of the training pixels.
 
     ``Yc`` (the N x L centered training pixels) is only read while the
-    predictor is built.  From the thin SVD C = W S V^T of C = psi(X) U it
-    keeps V^T, the per-direction weights S / (s2 S^2 + sigma2) and
-    sigma2 / (s2 S^2 + sigma2), and the k x L projection W^T Ybar =
-    W^T Yc - S V^T P^T of the residual Ybar = Yc - C P^T; after that the
-    predictor holds no array with N rows besides the state's latents.
+    predictor is built.  One :class:`WoodburySolver` on C = psi(X) U gives
+    the posterior-mean spectral map of the fitted state around the prior
+    mean ``spectral_map`` (the PCA basis, or P-hat under ``mean_mode=map``)
+    and, from its thin SVD C = W S V^T, V^T and the shares
+    sigma2 / (s2 S^2 + sigma2); after that the predictor holds no array
+    with N rows besides the state's latents.
     """
 
     state: LatentState
@@ -48,14 +49,12 @@ class GpPredictor:
             raise ValueError("inconsistent predictor shapes")
         if mean.shape[0] != Yc.shape[1] or Yc.shape[0] != self.state.n_pixels:
             raise ValueError("inconsistent predictor shapes")
-        s2, sigma2 = self.state.s2, self.state.sigma2
-        W, S, Vt = np.linalg.svd(psi_batch(self.state.X) @ self.state.U, full_matrices=False)
-        evals = s2 * S**2 + sigma2  # eigenvalues of Sigma on W's columns
+        wb = WoodburySolver(psi_batch(self.state.X) @ self.state.U,
+                            self.state.s2, self.state.sigma2)
         stats = {
-            "_Vt": Vt,
-            "_gain": S / evals,
-            "_noise_share": sigma2 / evals,
-            "_WtYbar": W.T @ Yc - S[:, None] * (Vt @ P.T),
+            "_mean_map": wb.posterior_map(Yc, P),
+            "_Vt": wb.Vt,
+            "_noise_share": wb.sigma2 / wb.evals,
         }
         for name, a in dict(stats, spectral_map=P, v_r=vr, mean_spectrum=mean).items():
             a.flags.writeable = False
@@ -69,14 +68,13 @@ def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, 
 
     The returned mean is in centered coordinates; the variance is shared
     across bands.  With u = U^T psi(x*) and Sigma = s2 C C^T + sigma2 I,
-    the mean P u + s2 Ybar^T Sigma^{-1} C u and the variance
-    s2 u^T u - s2^2 u^T C^T Sigma^{-1} C u are evaluated on the SVD
-    directions of C: the mean as P u + s2 (W^T Ybar)^T diag(S / (s2 S^2 +
-    sigma2)) V^T u, the variance as s2 times the sum of
-    sigma2 / (s2 S^2 + sigma2) (V^T u)_k^2 plus the squared norm of u
-    outside V's span.  Nothing is divided by sigma2, so both stay accurate
-    when s2 ||C||^2 >> sigma2, and the variance is a sum of nonnegative
-    terms.
+    the mean P u + s2 Ybar^T Sigma^{-1} C u is the posterior-mean spectral
+    map applied to u.  The variance s2 u^T u - s2^2 u^T C^T Sigma^{-1} C u
+    is s2 times the sum of sigma2 / (s2 S^2 + sigma2) (V^T u)_k^2 over the
+    SVD directions of C plus the squared norm of u outside V's span.  Nothing
+    is divided by sigma2, so both stay accurate when s2 ||C||^2 >> sigma2, and
+    the variance is a sum of nonnegative terms.  The latents and the simplex
+    vertices are held fixed.
     """
     alpha = np.asarray(alpha, float).reshape(-1)
     R = pred.state.n_endmembers
@@ -88,7 +86,7 @@ def predict_spectrum(alpha: np.ndarray, pred: GpPredictor) -> tuple[np.ndarray, 
     u_psi = pred.state.U.T @ psi(pred.v_r @ alpha)  # D
     vu = pred._Vt @ u_psi
     outside = u_psi - pred._Vt.T @ vu
-    mu = pred.spectral_map @ u_psi + s2 * (pred._WtYbar.T @ (pred._gain * vu))
+    mu = pred._mean_map @ u_psi
     var_scalar = s2 * (float(pred._noise_share @ vu**2) + float(outside @ outside))
     return mu, np.full(mu.shape, var_scalar)
 
@@ -114,7 +112,10 @@ def extract_endmembers(pred: GpPredictor) -> EndmemberSet:
 
 
 def confidence95(endmembers: EndmemberSet) -> tuple[np.ndarray, np.ndarray]:
-    """95% pointwise intervals around GP-extracted endmember spectra."""
+    """95% pointwise intervals around GP-extracted endmember spectra.
+
+    The band is the GP posterior with the latents and the simplex vertices
+    held fixed at their fitted values: their own uncertainty is left out."""
     if endmembers.band_variance is None:
         raise ValueError("endmember set carries no predictive variances")
     half = 1.96 * np.sqrt(endmembers.band_variance)

@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .core import readonly
@@ -233,23 +232,20 @@ class WoodburySolver:
         Sigma^{-1} = (I - s2 * C (sigma2 I_D + s2 C^T C)^{-1} C^T) / sigma2.
     A Cholesky factorization of the core validates positive definiteness
     (its failure pinpoints a numerically degenerate C when s2 >> sigma2);
-    the solves themselves go through a thin SVD of C, which avoids squaring
-    the condition number and stays accurate when sigma2 is many orders of
-    magnitude below s2 * ||C^T C||.
+    everything else goes through the thin SVD C = W S V^T, which avoids
+    squaring the condition number and stays accurate when sigma2 is many
+    orders of magnitude below s2 * ||C^T C||.  At s2 = 0 the solve is B / sigma2.
     """
 
     def __init__(self, C: np.ndarray, s2: float, sigma2: float):
-        if s2 < 0:
-            raise ValueError("s2 must be >= 0")
-        if not sigma2 > 0:
-            raise ValueError("sigma2 must be > 0")
+        if not (np.isfinite(s2) and s2 >= 0):
+            raise ValueError("s2 must be finite and >= 0")
+        if not (np.isfinite(sigma2) and sigma2 > 0):
+            raise ValueError("sigma2 must be finite and > 0")
         self.C = np.asarray(C, float)
         self.s2 = float(s2)
         self.sigma2 = float(sigma2)
         self.n, self.d = self.C.shape
-        if s2 == 0.0:
-            self._basis = None
-            return
         core = self.C.T @ self.C
         core *= s2
         core.flat[:: self.d + 1] += sigma2
@@ -259,11 +255,12 @@ class WoodburySolver:
                 f"covariance core is not positive definite (pivot {info})", pivot=info
             )
         try:
-            W, S, _ = np.linalg.svd(self.C, full_matrices=False)
+            W, S, Vt = np.linalg.svd(self.C, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise WoodburyError(f"core factorization failed: {exc}", pivot=1) from exc
-        self._basis = W  # N x min(N, D), orthonormal columns
-        self._evals = s2 * S**2 + sigma2  # eigenvalues of Sigma on the basis
+        # C = W diag(S) Vt: W is N x k, k = min(N, D), Vt is k x D
+        self.W, self.S, self.Vt = W, S, Vt
+        self.evals = s2 * S**2 + sigma2  # eigenvalues of Sigma on W's columns
 
     def solve(self, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sigma^{-1} B for an N-vector or N x k matrix B.
@@ -278,17 +275,12 @@ class WoodburySolver:
         the workspace's these are the workspace's blocks.  The result
         depends neither on the block size nor on the helper."""
         B = np.asarray(B, float)
-        if self._basis is None:
-            if out is None:
-                return B / self.sigma2
-            np.divide(B, self.sigma2, out=out)
-            return out
         if out is not None and np.may_share_memory(B, out):
             # the back-substitution writes W inner into out before it reads B
             out[...] = self.solve(B)
             return out
-        WtB = self._basis.T @ B
-        shrink = 1.0 - self.sigma2 / self._evals
+        WtB = self.W.T @ B
+        shrink = 1.0 - self.sigma2 / self.evals
         if B.ndim == 1:
             inner = shrink * WtB
         else:
@@ -299,7 +291,7 @@ class WoodburySolver:
         def back_substitute(blocks):
             for rows in blocks:
                 block = out[rows]
-                np.matmul(self._basis[rows], inner, out=block)
+                np.matmul(self.W[rows], inner, out=block)
                 np.subtract(B[rows], block, out=block)
                 block /= self.sigma2
 
@@ -309,19 +301,23 @@ class WoodburySolver:
 
     def logdet(self) -> float:
         """log |Sigma| = (N - D) log sigma2 + log |sigma2 I + s2 C^T C|."""
-        if self._basis is None:
-            return self.n * np.log(self.sigma2)
-        k = self._evals.shape[0]
+        k = self.evals.shape[0]
         return float(
-            (self.n - k) * np.log(self.sigma2) + np.log(self._evals).sum()
+            (self.n - k) * np.log(self.sigma2) + np.log(self.evals).sum()
         )
 
     def trace_inv(self) -> float:
         """Trace of Sigma^{-1}."""
-        if self._basis is None:
-            return self.n / self.sigma2
-        k = self._evals.shape[0]
-        return float((1.0 / self._evals).sum() + (self.n - k) / self.sigma2)
+        k = self.evals.shape[0]
+        return float((1.0 / self.evals).sum() + (self.n - k) / self.sigma2)
+
+    def posterior_map(self, Yc: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """Posterior mean P + s2 Ybar^T Sigma^{-1} C of the L x D spectral
+        map with prior mean P, for the N x L pixels Yc and Ybar = Yc - C P^T:
+        P + s2 (W^T Ybar)^T diag(S / evals) V^T with W^T Ybar = W^T Yc -
+        S V^T P^T.  No normal equations, no N x L array."""
+        WtYbar = self.W.T @ Yc - self.S[:, None] * (self.Vt @ P.T)  # k x L
+        return P + self.s2 * ((WtYbar.T * (self.S / self.evals)) @ self.Vt)
 
 
 @dataclass(frozen=True)
@@ -703,16 +699,11 @@ def map_P(state: LatentState, ctx: ModelContext) -> np.ndarray:
     """Posterior-mean estimate of the L x D spectral map given the fit.
 
     Row l solves the Gaussian-linear posterior with data weight 1/sigma2 and
-    prior weight 1/s2 around the corresponding basis row.
+    prior weight 1/s2 around the corresponding basis row (the basis at s2 = 0).
     """
     C = psi_batch(state.X) @ state.U
-    s2, sigma2 = state.s2, state.sigma2
-    if s2 <= 0:
-        return ctx.pbar.basis.copy()
-    A = C.T @ C / sigma2 + np.eye(C.shape[1]) / s2
-    rhs = C.T @ ctx.Yc / sigma2 + ctx.pbar.basis.T / s2  # D x L
-    cf = scipy.linalg.cho_factor(A)
-    return scipy.linalg.cho_solve(cf, rhs).T
+    wb = WoodburySolver(C, state.s2, state.sigma2)
+    return wb.posterior_map(ctx.Yc, ctx.pbar.basis)
 
 
 def reconstruct(state: LatentState, Phat: np.ndarray) -> np.ndarray:

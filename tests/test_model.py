@@ -167,11 +167,13 @@ class TestWoodbury:
 
     def test_dense_oracle_small(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            d = int(rng.integers(1, 4))
+        # 50 random cases, then (n, d, s2) with s2 = 0 (Sigma = sigma2 I) and
+        # with n < d, where the thin SVD keeps k = n < d directions
+        fixed = [(6, 3, 0.0), (2, 3, 0.0), (2, 5, 0.8), (3, 6, 1.7)]
+        for case in [None] * 50 + fixed:
+            n, d = (int(rng.integers(2, 9)), int(rng.integers(1, 4))) if case is None else case[:2]
             C = rng.normal(size=(n, d))
-            s2 = float(rng.uniform(0, 2))
+            s2 = float(rng.uniform(0, 2)) if case is None else case[2]
             sigma2 = float(rng.uniform(0.05, 2))
             Sigma = s2 * (C @ C.T) + sigma2 * np.eye(n)
             wb = WoodburySolver(C, s2, sigma2)
@@ -208,6 +210,9 @@ class TestWoodbury:
             WoodburySolver(C, s2=-1.0, sigma2=0.1)
         with pytest.raises(ValueError):
             WoodburySolver(C, s2=1.0, sigma2=0.0)
+        for s2, sigma2 in [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(ValueError):
+                WoodburySolver(C, s2=s2, sigma2=sigma2)
 
     @pytest.mark.parametrize("s2", [0.0, 0.5])
     @pytest.mark.parametrize("shape", [(50,), (50, 4)], ids=["1d", "2d"])
@@ -737,6 +742,9 @@ class TestMapP:
         vague = LatentState(X=state.X, U=state.U, s2=state.s2, sigma2=1e12)
         P = map_P(vague, ctx)
         assert np.max(np.abs(P - ctx.pbar.basis)) < 1e-6
+        # with no signal (s2 = 0) the posterior mean is the prior mean exactly
+        flat = LatentState(X=state.X, U=state.U, s2=0.0, sigma2=state.sigma2)
+        assert np.array_equal(map_P(flat, ctx), ctx.pbar.basis)
 
     def test_noise_free_realizable_reconstruction(self):
         rng = np.random.default_rng(17)
@@ -757,6 +765,28 @@ class TestMapP:
         # reconstruction matches up to the removed column means
         resid -= resid.mean(axis=0)
         assert np.max(np.abs(resid)) < 1e-6
+
+    @pytest.mark.parametrize("s2, sigma2", [(1.0, 1e-8), (0.5, 1e-4)])
+    def test_ill_conditioned_state_matches_augmented_least_squares(self, s2, sigma2):
+        # U with two large and one tiny singular value makes the normal
+        # matrix C^T C / sigma2 + I / s2 ill-conditioned; the reference
+        # solves the same posterior as the stacked least-squares problem
+        # [C / sigma; I / sqrt(s2)] p = [y / sigma; p0 / sqrt(s2)], which
+        # does not square the condition number
+        rng = np.random.default_rng(19)
+        n, R = 60, 2
+        D = feature_dim(R)
+        ctx = tiny_ctx(rng, n=n, l=8, R=R)
+        Q = np.linalg.qr(rng.normal(size=(D, D)))[0]
+        U = np.diag([1e2, 1e2, 1e-3]) @ Q
+        state = LatentState(X=random_sum_to_one(rng, n, R), U=U, s2=s2, sigma2=sigma2)
+        C = psi_batch(state.X) @ U
+        assert np.linalg.cond(C.T @ C / sigma2 + np.eye(D) / s2) >= 1e9
+        stacked = np.vstack([C / np.sqrt(sigma2), np.eye(D) / np.sqrt(s2)])
+        rhs = np.vstack([ctx.Yc / np.sqrt(sigma2), ctx.pbar.basis.T / np.sqrt(s2)])
+        ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0].T
+        err = np.max(np.abs(map_P(state, ctx) - ref))
+        assert err <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestReconstruct:
