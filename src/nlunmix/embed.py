@@ -363,10 +363,10 @@ def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
     min ||y_i - sum_j w_j y_j||^2.  The Gram systems of a block of rows
     (at most ``KNN_BLOCK_ENTRIES`` gathered neighbor entries) go to one
     stacked Cholesky solve, which runs the same LAPACK routine per row as a
-    row-by-row solve, so the weights do not depend on the blocking.  If the
-    stacked solve raises, each row of the block goes through the per-row
-    chain: solve, ridge, least squares.  A row whose stacked solve comes
-    back non-finite goes through the last two.  The ridge adds
+    row-by-row solve, so the weights do not depend on the blocking.  A row
+    whose stacked solve comes back non-finite, or every row of a block
+    whose stacked solve raises, goes through the per-row chain: solve,
+    ridge, least squares.  The ridge adds
     1e-9 * trace to a singular local Gram matrix; one that stays singular
     (all neighbors at the origin) gets the minimum-norm solution.
 
@@ -391,10 +391,9 @@ def lle_weights(Y: np.ndarray, K: int) -> LleWeights:
         try:
             w = _pos_solve(G, b)[..., 0]
         except _SOLVE_ERRORS:
-            w = np.array([_row_weights(G[r], b[r, :, 0]) for r in range(stop - start)])
-        else:
-            for r in np.flatnonzero(~np.all(np.isfinite(w), axis=1)):
-                w[r] = _ridged_weights(G[r], b[r, :, 0])
+            w = np.full((stop - start, K), np.nan)
+        for r in np.flatnonzero(~np.all(np.isfinite(w), axis=1)):
+            w[r] = _row_weights(G[r], b[r, :, 0])
         weights[start:stop] = w
     return LleWeights(neighbors=neighbors, weights=weights)
 

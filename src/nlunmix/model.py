@@ -33,32 +33,26 @@ SIGMA2_MAX = 1e6
 S2_MAX = 1e6
 U_MAX = 1e3
 # Most bytes of an N x (L + D) row block: about half of a 2 MiB L2 cache.
-# The objective's row-wise phases (the residual, the solve's
-# back-substitution and the gradient's N x D combination) take rows in
+# The objective's row-wise phases (the residual, the back-substitution of
+# Sigma^-1 [Ybar | C] and the gradient's N x D combination) take rows in
 # blocks of at most this size, so that a block's intermediates are still in
-# cache when the next operation of the phase reads them.  An array larger
-# than one block is cut into an even count of blocks of equal size (to a
-# row), so that the calling thread and the helper thread (see
-# :func:`_second_worker`) each take half of the rows.  Row-wise arithmetic
-# does not depend on the split, so results depend neither on this constant
-# nor on the helper.
+# cache when the next operation of the phase reads them.  The workspace
+# works out its split from this constant once per fit (see
+# :func:`_split_rows`): an array larger than one block is cut into an even
+# count of blocks of equal size (to a row), so that the calling thread and
+# the helper thread (see :func:`_second_worker`) each take half of the
+# rows.  Row-wise arithmetic does not depend on the split, so results
+# depend neither on this constant nor on the helper.
 ROW_BLOCK_BYTES = 2**20
 
 
-def _row_blocks(n: int, width: int) -> tuple[slice, ...]:
-    """Consecutive row slices covering an n x ``width`` float64 array: one
-    slice when the array fits in ``ROW_BLOCK_BYTES``, else an even count of
-    slices whose sizes differ by at most one row, each of at most
-    ``ROW_BLOCK_BYTES`` and at least two rows (the two-row floor wins over
-    the byte bound).  No slice has a single row: numpy computes a one-row
-    matrix product with a matrix-vector kernel, which rounds differently
-    from the same row inside a matrix product.  The workspace and the solve
-    both take their split from here."""
-    return _split_rows(n, max(2, ROW_BLOCK_BYTES // (8 * max(width, 1))))
-
-
-@lru_cache(maxsize=8)
 def _split_rows(n: int, step: int) -> tuple[slice, ...]:
+    """Consecutive row slices covering n rows: one slice when n <= ``step``,
+    else an even count of slices whose sizes differ by at most one row,
+    each of at most ``step`` rows and at least two (the two-row floor wins
+    over ``step``).  No slice has a single row: numpy computes a one-row
+    matrix product with a matrix-vector kernel, which rounds differently
+    from the same row inside a matrix product."""
     count = -(-n // step)
     if count > 1:
         count = min(count + count % 2, n // 4 * 2)
@@ -182,9 +176,7 @@ def feature_pairs(R: int) -> tuple[tuple[int, int], ...]:
 
 def psi(x: np.ndarray) -> np.ndarray:
     """Quadratic feature map: [x_1..x_R, x_1 x_2, x_1 x_3, ..., x_{R-1} x_R]."""
-    x = np.asarray(x, float).reshape(-1)
-    cross = [x[i] * x[j] for i, j in feature_pairs(x.shape[0])]
-    return np.concatenate([x, cross])
+    return psi_batch(np.asarray(x, float).reshape(1, -1))[0]
 
 
 def psi_batch(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -242,62 +234,52 @@ class WoodburySolver:
             raise ValueError("s2 must be finite and >= 0")
         if not (np.isfinite(sigma2) and sigma2 > 0):
             raise ValueError("sigma2 must be finite and > 0")
-        self.C = np.asarray(C, float)
+        C = np.asarray(C, float)
         self.s2 = float(s2)
         self.sigma2 = float(sigma2)
-        self.n, self.d = self.C.shape
-        core = self.C.T @ self.C
+        self.n, d = C.shape
+        core = C.T @ C
         core *= s2
-        core.flat[:: self.d + 1] += sigma2
+        core.flat[:: d + 1] += sigma2
         _, info = lapack.dpotrf(core, lower=1)
         if info != 0:
             raise WoodburyError(
                 f"covariance core is not positive definite (pivot {info})", pivot=info
             )
         try:
-            W, S, Vt = np.linalg.svd(self.C, full_matrices=False)
+            W, S, Vt = np.linalg.svd(C, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise WoodburyError(f"core factorization failed: {exc}", pivot=1) from exc
         # C = W diag(S) Vt: W is N x k, k = min(N, D), Vt is k x D
         self.W, self.S, self.Vt = W, S, Vt
         self.evals = s2 * S**2 + sigma2  # eigenvalues of Sigma on W's columns
 
-    def solve(self, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sigma^{-1} B for an N-vector or N x k matrix B.
-
-        ``out`` optionally receives the result (hot loops reuse buffers to
-        avoid churning large allocations); it may be B itself.  The
-        projection W^T B onto the basis is one whole-array product in the
-        calling thread; the back-substitution (B - W inner) / sigma2 then
-        runs over the row blocks of :func:`_row_blocks`, each finished while
-        it is in cache, the second half of them on the helper thread when
-        :func:`_second_worker` allows one; for a right-hand side as wide as
-        the workspace's these are the workspace's blocks.  The result
-        depends neither on the block size nor on the helper."""
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Sigma^{-1} B for an N-vector or N x k matrix B, as a new array:
+        (B - W diag(1 - sigma2 / evals) W^T B) / sigma2, over the whole
+        array."""
         B = np.asarray(B, float)
-        if out is not None and np.may_share_memory(B, out):
-            # the back-substitution writes W inner into out before it reads B
-            out[...] = self.solve(B)
-            return out
+        out = np.empty(B.shape)
+        self._back_substitute(B, self._inner(B), out, (slice(None),))
+        return out
+
+    def _inner(self, B: np.ndarray) -> np.ndarray:
+        """diag(1 - sigma2 / evals) W^T B, the k-row core of Sigma^{-1} B:
+        one whole-array product over the N rows."""
         WtB = self.W.T @ B
         shrink = 1.0 - self.sigma2 / self.evals
-        if B.ndim == 1:
-            inner = shrink * WtB
-        else:
-            inner = shrink[:, None] * WtB
-        if out is None:
-            out = np.empty(B.shape)
+        return shrink * WtB if B.ndim == 1 else shrink[:, None] * WtB
 
-        def back_substitute(blocks):
-            for rows in blocks:
-                block = out[rows]
-                np.matmul(self.W[rows], inner, out=block)
-                np.subtract(B[rows], block, out=block)
-                block /= self.sigma2
-
-        blocks = _row_blocks(B.shape[0], B.shape[1] if B.ndim == 2 else 1)
-        _halves(_second_worker(len(blocks)), back_substitute, blocks)
-        return out
+    def _back_substitute(self, B, inner, out, blocks) -> None:
+        """out = (B - W inner) / sigma2 over the row slices ``blocks``, each
+        finished while it is in cache; ``out`` must not overlap B.  Rows do
+        not depend on each other, so neither does the result on the
+        split."""
+        for rows in blocks:
+            block = out[rows]
+            np.matmul(self.W[rows], inner, out=block)
+            np.subtract(B[rows], block, out=block)
+            block /= self.sigma2
 
     def logdet(self) -> float:
         """log |Sigma| = (N - D) log sigma2 + log |sigma2 I + s2 C^T C|."""
@@ -412,17 +394,22 @@ def _blocks(v: np.ndarray, n_pixels: int, R: int):
 
 class _Workspace:
     """Buffers of one evaluation, kept for a whole fit so that evaluations
-    do not allocate their N-sized intermediates afresh, and the row block
-    views of the evaluation's row-wise phases, worked out once per fit.
+    do not allocate their N-sized intermediates afresh, and the row split of
+    the evaluation's row-wise phases, worked out once per fit: the only
+    place that splits rows.
 
-    A row block holds at most ``ROW_BLOCK_BYTES`` of an N x (L+D) row (see
-    :func:`_row_blocks`); small scenes, up to 789 rows at L = 160, D = 6, are
-    one block, and larger ones an even count of equal blocks, the first half
-    for the calling thread and the second for the helper.  The residual
-    phase forms each block of Ybar in a scratch inside ``solved``, which is
-    not yet in use then: the calling thread's blocks share the head of
-    ``solved``, and the helper's blocks share the start of the helper's half
-    of it, so the two workers never write the same scratch."""
+    ``row_slices`` are the row blocks, each holding at most
+    ``ROW_BLOCK_BYTES`` of an N x (L+D) row (see :func:`_split_rows`);
+    small scenes, up to 789 rows at L = 160, D = 6, are one block, and
+    larger ones an even count of equal blocks, the first half for the
+    calling thread and the second for the helper.  ``residual_blocks`` and
+    ``gradient_blocks`` hold each block's views for those two phases; the
+    back-substitution takes ``row_slices`` itself, since its W is new in
+    every evaluation.  The residual phase forms each block of Ybar in a
+    scratch inside ``solved``, which is not yet in use then: the calling
+    thread's blocks share the head of ``solved``, and the helper's blocks
+    share the start of the helper's half of it, so the two workers never
+    write the same scratch."""
 
     def __init__(self, Yc: np.ndarray, R: int):
         n_pixels, L = Yc.shape
@@ -436,7 +423,8 @@ class _Workspace:
         # right-hand sides [Ybar | C] and their solves, one pass each
         self.stacked = np.empty((n_pixels, L + D))
         self.solved = np.empty((n_pixels, L + D))
-        blocks = _row_blocks(n_pixels, L + D)
+        blocks = _split_rows(n_pixels, max(2, ROW_BLOCK_BYTES // (8 * (L + D))))
+        self.row_slices = blocks
         flat = self.solved.reshape(-1)
         helper_start = blocks[len(blocks) // 2].start * (L + D)
 
@@ -490,12 +478,14 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
 
     The row-wise phases run over the workspace's row blocks, so that each
     block's intermediates stay in cache: Ybar = Yc - C P^T and the stacked
-    right-hand side, the solve's back-substitution, and the gradient's
-    Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P).  Every reduction over
-    the N pixels (W^T B in the solve, Q, the einsums, Psi^T Gc and the sums)
+    right-hand side B = [Ybar | C], the back-substitution of Sigma^-1 B =
+    (B - W inner) / sigma2, and the gradient's Gc = s2 L Sigma^-1 C -
+    Sigma^-1 Ybar (s2 Q + P).  Every reduction over the N pixels (inner =
+    diag(1 - sigma2 / evals) W^T B, Q, the einsums, Psi^T Gc and the sums)
     and the SVD stay whole-array calls: splitting a reduction changes its
     rounding, while splitting rows does not.  So the result does not depend
-    on ``ROW_BLOCK_BYTES``.
+    on ``ROW_BLOCK_BYTES``, and Sigma^-1 B is bit for bit
+    ``WoodburySolver.solve(B)``, which makes the same calls on one block.
 
     When :func:`_second_worker` allows one, the helper thread takes the
     second half of each row-wise phase's blocks, and it computes the value
@@ -512,12 +502,14 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     Psi = psi_batch(X, out=ws.Psi)
     C = np.matmul(Psi, U, out=ws.C)
     wb = WoodburySolver(C, s2, sigma2)
-    helper = _second_worker(len(ws.residual_blocks))
+    helper = _second_worker(len(ws.row_slices))
     basis_t = ctx.pbar.basis.T
     _halves(helper, lambda blocks: _residual(blocks, basis_t), ws.residual_blocks)
     stacked, solved = ws.stacked, ws.solved
     Ybar = stacked[:, :L]
-    wb.solve(stacked, out=solved)
+    inner = wb._inner(stacked)
+    _halves(helper, lambda blocks: wb._back_substitute(stacked, inner, solved, blocks),
+            ws.row_slices)
     SiY = solved[:, :L]
     SiC = solved[:, L:]
 
@@ -620,12 +612,13 @@ def objective_function(ctx: ModelContext, n_pixels: int, R: int):
     :func:`scg_optimize` passes it to :func:`~nlunmix.scg.scg` for the
     curvature probes.  Outside the prior bounds, or where the covariance
     core breaks down, the value is inf and the gradient all nan.  Every
-    evaluation of one callable reuses one set of buffers and one set of row
-    blocks of ``ROW_BLOCK_BYTES`` (see ``_Workspace`` and
-    ``_evaluate``), so the constant is read when the callable is made; each
-    returned gradient is a fresh array.  Each evaluation of a scene of four
-    or more blocks checks anew whether the helper thread may take half of
-    its row-wise work (see :func:`_second_worker`); the callable has no
+    evaluation of one callable reuses one set of buffers and one split into
+    row blocks of ``ROW_BLOCK_BYTES``, worked out by ``_Workspace`` when the
+    callable is made, so the constant is read then; ``_evaluate`` runs each
+    row-wise phase, Sigma^-1's back-substitution included, over those
+    blocks.  Each returned gradient is a fresh array.  Each evaluation asks
+    once whether the helper thread may take half of its row-wise work (see
+    :func:`_second_worker`; it needs four or more blocks); the callable has no
     setting for it.  Values and gradients depend neither on the block size
     nor on the helper.  One callable is not for concurrent use: its
     evaluations share the buffers.

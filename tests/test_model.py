@@ -214,20 +214,6 @@ class TestWoodbury:
             with pytest.raises(ValueError):
                 WoodburySolver(C, s2=s2, sigma2=sigma2)
 
-    @pytest.mark.parametrize("s2", [0.0, 0.5])
-    @pytest.mark.parametrize("shape", [(50,), (50, 4)], ids=["1d", "2d"])
-    def test_solve_in_place(self, s2, shape):
-        rng = np.random.default_rng(6)
-        C = rng.normal(size=(50, 4))
-        wb = WoodburySolver(C, s2, 0.3)
-        B = rng.normal(size=shape)
-        ref = np.linalg.solve(s2 * (C @ C.T) + 0.3 * np.eye(50), B)
-        expected = wb.solve(B)
-        got = wb.solve(B, out=B)
-        assert got is B
-        assert np.array_equal(got, expected)
-        assert np.max(np.abs(got - ref)) <= 1e-10 * (1 + np.max(np.abs(ref)))
-
 
 class TestNegLogPosterior:
     def test_diagonal_reduction(self):
@@ -448,24 +434,6 @@ class TestRowBlocks:
             assert np.array_equal(got_g, g)
             assert np.array_equal(fg.gradient(w), g_probe)
 
-    @pytest.mark.parametrize("rows", [7, 64])
-    def test_solve_does_not_depend_on_the_block_size(self, rows, monkeypatch):
-        rng = np.random.default_rng(32)
-        C = rng.normal(size=(self.n, feature_dim(self.R)))
-        B = rng.normal(size=(self.n, self.l + feature_dim(self.R)))
-        wb = WoodburySolver(C, 0.7, 0.05)
-        whole = wb.solve(B), wb.solve(B[:, 0])
-        self._block_rows(monkeypatch, rows)
-        assert np.array_equal(wb.solve(B), whole[0])
-        out = np.empty_like(B)
-        assert wb.solve(B, out=out) is out and np.array_equal(out, whole[0])
-        assert np.array_equal(wb.solve(B[:, 0]), whole[1])
-        # blocks of `rows` entries of a vector, and of two rows (the least) of B
-        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8)
-        assert np.array_equal(wb.solve(B[:, 0]), whole[1])
-        in_place = B.copy()
-        assert np.array_equal(wb.solve(in_place, out=in_place), whole[0])
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 120, 2500, 10000])
     @pytest.mark.parametrize("step", [2, 3, 7, 789])
     def test_blocks_are_an_even_count_of_equal_blocks(self, n, step):
@@ -555,32 +523,6 @@ class TestSecondWorker:
             assert np.isfinite(value) and got_value == value
             assert np.array_equal(got_g, g)
             assert np.array_equal(got_probe, g_probe)
-
-    @pytest.mark.parametrize("rows", [7, 64])
-    def test_solve_does_not_depend_on_the_helper(self, rows, monkeypatch):
-        rng = np.random.default_rng(42)
-        width = self.l + feature_dim(self.R)
-        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * width)
-        C = rng.normal(size=(self.n, feature_dim(self.R)))
-        B = rng.normal(size=(self.n, width))
-        wb = WoodburySolver(C, 0.7, 0.05)
-
-        def solves():
-            out, in_place = np.empty_like(B), B.copy()
-            assert wb.solve(B, out=out) is out
-            assert wb.solve(in_place, out=in_place) is in_place
-            return wb.solve(B), wb.solve(B[:, 0]), out, in_place
-
-        force_second_worker(monkeypatch, False)
-        alone = solves()
-        force_second_worker(monkeypatch, True)
-        # a vector also splits once its blocks are of `rows` entries
-        assert len(model._row_blocks(self.n, 1)) == 1
-        for got, want in zip(solves(), alone):
-            assert np.array_equal(got, want)
-        monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8)
-        assert len(model._row_blocks(self.n, 1)) >= 2
-        assert np.array_equal(wb.solve(B[:, 0]), alone[1])
 
     def test_rejected_states_give_nan_gradients(self, monkeypatch):
         ctx, (w, _, _) = self._setup(43, 7, monkeypatch)

@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 import nlunmix.model as model
+from nlunmix.core import center
+from nlunmix.embed import init_latents, lle_weights, pca_basis
+from nlunmix.scene import SceneRecipe, generate_scene
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -82,8 +85,8 @@ def test_helper_follows_the_blas_thread_count():
     assert got[1]["after_split"] == 2
 
 
-def _solve_in_child(wb, B, queue):
-    queue.put(wb.solve(B))
+def _evaluate_in_child(fg, w, queue):
+    queue.put(fg(w))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -91,13 +94,18 @@ def test_forked_child_makes_its_own_helper(monkeypatch):
     # a forked child inherits the executor but not its thread; it must make
     # a new helper instead of waiting on the parent's forever
     monkeypatch.setattr(model, "_second_worker", lambda n_blocks: model._helper_thread())
-    rng = np.random.default_rng(0)
-    B = rng.normal(size=(3000, 166))
-    wb = model.WoodburySolver(rng.normal(size=(3000, 6)), 0.7, 0.05)
-    want = wb.solve(B)
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=_solve_in_child, args=(wb, B, queue))
+    scene = generate_scene(SceneRecipe(model="lmm", R=3, L=160, N=1600, sigma2=1e-4, seed=7))
+    Yc, _ = center(scene.image)
+    pb = pca_basis(Yc.pixels, 6)
+    ctx = model.ModelContext(Yc=Yc.pixels, pbar=pb, lle=lle_weights(Yc.pixels, K=3))
+    state = model.initial_state(ctx, init_latents(Yc.pixels, pb.basis[:, :2]))
+    assert len(model._Workspace(ctx.Yc, 3).row_slices) >= 4
+    w = model.pack(state)
+    fg = model.objective_function(ctx, ctx.n_pixels, 3)
+    want = fg(w)  # the parent's helper thread is running from here on
+    fork = multiprocessing.get_context("fork")
+    queue = fork.Queue()
+    child = fork.Process(target=_evaluate_in_child, args=(fg, w, queue))
     child.start()
     try:
         got = queue.get(timeout=60)
@@ -105,4 +113,4 @@ def test_forked_child_makes_its_own_helper(monkeypatch):
         child.join(5)
         if child.is_alive():
             child.kill()
-    assert np.array_equal(got, want)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
