@@ -15,7 +15,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 from scipy.linalg import lapack
@@ -33,16 +33,16 @@ SIGMA2_MAX = 1e6
 S2_MAX = 1e6
 U_MAX = 1e3
 # Most bytes of an N x (L + D) row block: about half of a 2 MiB L2 cache.
-# The objective's row-wise phases (the residual, the back-substitution of
-# Sigma^-1 [Ybar | C] and the gradient's N x D combination) take rows in
-# blocks of at most this size, so that a block's intermediates are still in
-# cache when the next operation of the phase reads them.  The workspace
-# works out its split from this constant once per fit (see
-# :func:`_split_rows`): an array larger than one block is cut into an even
-# count of blocks of equal size (to a row), so that the calling thread and
-# the helper thread (see :func:`_second_worker`) each take half of the
-# rows.  Row-wise arithmetic does not depend on the split, so results
-# depend neither on this constant nor on the helper.
+# The objective's row-wise phases (the residual with the stacked right-hand
+# side [Ybar | C], and the fused phase that back-substitutes a block of
+# Sigma^-1 [Ybar | C] into a worker's block scratch and uses it while it is
+# in cache) take rows in blocks of at most this size.  The workspace works
+# out its split from this constant once per fit (see :func:`_split_rows`):
+# an array larger than one block is cut into an even count of blocks of
+# equal size (to a row), which the calling thread and the helper thread
+# (see :func:`_second_worker`) claim one at a time.  Row-wise arithmetic
+# does not depend on the split, so results depend neither on this constant
+# nor on which worker takes which block.
 ROW_BLOCK_BYTES = 2**20
 
 
@@ -124,10 +124,10 @@ def _second_worker(n_blocks: int):
     loaded OpenBLAS, and two blocks for each worker.  With more BLAS
     threads, OpenBLAS's spinning threads take the helper's core and the
     split evaluation ran 5-19% slower; a thread count that cannot be read
-    counts as more than one.  Each evaluation hands work to the helper four
+    counts as more than one.  Each evaluation hands work to the helper three
     times, at about 50 us each, so a small scene does not pay for it: at
-    L = 160 the split evaluation was 13-27% slower at N = 800 (two blocks)
-    and faster from N = 1,100 on."""
+    L = 160 the split evaluation was 13-15% slower at N = 800 and 1,100
+    (two blocks) and 20-22% faster at N = 1,600 and 2,500 (four)."""
     affinity = getattr(os, "sched_getaffinity", None)
     if n_blocks < 4 or affinity is None or len(affinity(0)) < 2:
         return None
@@ -153,14 +153,37 @@ def _together(helper, here, there):
     return got, future.result()
 
 
-def _halves(helper, task, blocks) -> None:
-    """``task`` over the first half of ``blocks`` here and over the second
-    half on the helper thread, or over all of them here in one call."""
+def _share(helper, task, views, args, first=None, first_args=()):
+    """``task(view, *args)`` for every block and ``first(*first_args)``, when
+    given, as one more task; returns what ``first`` returns.  ``views[k]``
+    holds worker k's view of each block.  With no helper everything runs
+    here in order, over ``views[0]``; else this thread and the helper (with
+    ``views[1]``) claim tasks from one shared counter, ``first`` before the
+    blocks, until none is left, so a worker that finishes early takes more
+    blocks.  Blocks are rows, which do not depend on each other, and each
+    worker writes its own block scratch, so the claims change no bit."""
     if helper is None:
-        task(blocks)
-        return
-    half = len(blocks) // 2
-    _together(helper, lambda: task(blocks[:half]), lambda: task(blocks[half:]))
+        got = None if first is None else first(*first_args)
+        for view in views[0]:
+            task(view, *args)
+        return got
+    n_blocks = len(views[0])
+    # one claim is one call into C, which the interpreter lock keeps whole,
+    # so no two claims get the same task
+    claim = count(0 if first is None else -1).__next__
+    got = []
+
+    def work(mine):
+        i = claim()
+        while i < n_blocks:
+            if i < 0:
+                got.append(first(*first_args))
+            else:
+                task(mine[i], *args)
+            i = claim()
+
+    _together(helper, lambda: work(views[0]), lambda: work(views[1]))
+    return got[0] if got else None
 
 
 def feature_dim(R: int) -> int:
@@ -259,9 +282,7 @@ class WoodburySolver:
         (B - W diag(1 - sigma2 / evals) W^T B) / sigma2, over the whole
         array."""
         B = np.asarray(B, float)
-        out = np.empty(B.shape)
-        self._back_substitute(B, self._inner(B), out, (slice(None),))
-        return out
+        return self._back_substitute(B, self._inner(B), np.empty(B.shape))
 
     def _inner(self, B: np.ndarray) -> np.ndarray:
         """diag(1 - sigma2 / evals) W^T B, the k-row core of Sigma^{-1} B:
@@ -270,16 +291,16 @@ class WoodburySolver:
         shrink = 1.0 - self.sigma2 / self.evals
         return shrink * WtB if B.ndim == 1 else shrink[:, None] * WtB
 
-    def _back_substitute(self, B, inner, out, blocks) -> None:
-        """out = (B - W inner) / sigma2 over the row slices ``blocks``, each
-        finished while it is in cache; ``out`` must not overlap B.  Rows do
-        not depend on each other, so neither does the result on the
-        split."""
-        for rows in blocks:
-            block = out[rows]
-            np.matmul(self.W[rows], inner, out=block)
-            np.subtract(B[rows], block, out=block)
-            block /= self.sigma2
+    def _back_substitute(self, B, inner, out, rows=slice(None)):
+        """out = (B - W[rows] inner) / sigma2, returned, for the pixel rows
+        ``rows``, of which B and ``out`` hold just those rows; ``out`` must
+        not overlap B.  Rows do not depend on each other, and the columns of
+        ``inner`` do not either, so a block of rows or of columns has the
+        bits of the same block of the whole solve."""
+        np.matmul(self.W[rows], inner, out=out)
+        np.subtract(B, out, out=out)
+        out /= self.sigma2
+        return out
 
     def logdet(self) -> float:
         """log |Sigma| = (N - D) log sigma2 + log |sigma2 I + s2 C^T C|."""
@@ -400,75 +421,142 @@ class _Workspace:
 
     ``row_slices`` are the row blocks, each holding at most
     ``ROW_BLOCK_BYTES`` of an N x (L+D) row (see :func:`_split_rows`);
-    small scenes, up to 789 rows at L = 160, D = 6, are one block, and
-    larger ones an even count of equal blocks, the first half for the
-    calling thread and the second for the helper.  ``residual_blocks`` and
-    ``gradient_blocks`` hold each block's views for those two phases; the
-    back-substitution takes ``row_slices`` itself, since its W is new in
-    every evaluation.  The residual phase forms each block of Ybar in a
-    scratch inside ``solved``, which is not yet in use then: the calling
-    thread's blocks share the head of ``solved``, and the helper's blocks
-    share the start of the helper's half of it, so the two workers never
-    write the same scratch."""
+    small scenes, up to 789 rows at L = 160, D = 6, are one block.  The one
+    N x (L+D) array is ``stacked``, the right-hand side [Ybar | C]: its
+    projection W^T [Ybar | C] is one product over the pixels, and
+    projecting Ybar and C apart would change its bits.  Sigma^-1 [Ybar | C]
+    is never held whole.  Each worker back-substitutes one block at a time
+    into a block scratch of its own, sized for the largest block, which in
+    the residual phase holds the block's Ybar before it is copied into
+    ``stacked``.  ``residual_views[k]`` and ``fused_views[k]`` hold worker
+    k's views of every block for those two phases.  Worker 0 is the calling
+    thread; the helper's scratch and views (worker 1) are made the first
+    time the helper runs (:meth:`add_helper`), so a fit that never splits
+    never holds them.  The views read the latents from ``X``."""
 
     def __init__(self, Yc: np.ndarray, R: int):
         n_pixels, L = Yc.shape
         D = feature_dim(R)
+        self.Yc = Yc
         self.X = np.empty((n_pixels, R))
         self.Psi = np.empty((n_pixels, D))
         self.C = np.empty((n_pixels, D))
         self.Gc = np.empty((n_pixels, D))
         self.scratch = np.empty((n_pixels, D))
         self.GX = np.empty((n_pixels, R))
-        # right-hand sides [Ybar | C] and their solves, one pass each
+        self.lle = np.empty((n_pixels, R))
         self.stacked = np.empty((n_pixels, L + D))
-        self.solved = np.empty((n_pixels, L + D))
+        self.Ybar = self.stacked[:, :L]
+        # per row, Ybar . Sigma^-1 Ybar and |Sigma^-1 Ybar|^2
+        self.Ybar_SiY, self.SiY_sq = np.empty((2, n_pixels))
         blocks = _split_rows(n_pixels, max(2, ROW_BLOCK_BYTES // (8 * (L + D))))
         self.row_slices = blocks
-        flat = self.solved.reshape(-1)
-        helper_start = blocks[len(blocks) // 2].start * (L + D)
+        self.one_block = len(blocks) == 1
+        self.block_shape = (max(rows.stop - rows.start for rows in blocks), L + D)
+        # the calling thread's block scratch; with one block, that block's
+        # back-substitution is the whole of Sigma^-1 [Ybar | C], so Sigma^-1
+        # C is its column block
+        self.block_scratch = np.empty(self.block_shape)
+        self.SiC = self.block_scratch[:, L:] if self.one_block else np.empty((n_pixels, D))
+        self.residual_views, self.fused_views = [], []
+        self._add_worker(self.block_scratch)
 
-        def ybar_scratch(i, rows):
-            start = 0 if i < len(blocks) // 2 else helper_start
-            return flat[start : start + (rows.stop - rows.start) * L].reshape(-1, L)
+    def add_helper(self) -> None:
+        """Make the helper's block scratch and views, once.  With one block
+        no two workers hold a block at once, so the helper shares the
+        calling thread's."""
+        if len(self.fused_views) > 1:
+            return
+        if self.one_block:
+            self.residual_views *= 2
+            self.fused_views *= 2
+        else:
+            self._add_worker(np.empty(self.block_shape))
 
-        # (Yc, C, Ybar scratch, stacked Ybar, stacked C) per block
-        self.residual_blocks = [
-            (Yc[rows], self.C[rows], ybar_scratch(i, rows),
-             self.stacked[rows, :L], self.stacked[rows, L:])
-            for i, rows in enumerate(blocks)
-        ]
-        # (Sigma^-1 Ybar, Sigma^-1 C, Gc, scratch) per block
-        self.gradient_blocks = [
-            (self.solved[rows, :L], self.solved[rows, L:], self.Gc[rows], self.scratch[rows])
-            for rows in blocks
-        ]
-
-
-def _residual(blocks, basis_t) -> None:
-    """Ybar = Yc - C P^T and the stacked right-hand side [Ybar | C] over
-    residual blocks of a workspace.  Ybar is subtracted in a contiguous
-    scratch and then copied: numpy's subtraction into the strided column
-    block of ``stacked`` measured 1.1-1.6x slower on 400- and 789-row
-    blocks, which sit in cache."""
-    for Yc_b, C_b, Ybar_b, stacked_y, stacked_c in blocks:
-        np.matmul(C_b, basis_t, out=Ybar_b)
-        np.subtract(Yc_b, Ybar_b, out=Ybar_b)
-        stacked_y[...] = Ybar_b
-        stacked_c[...] = C_b
-
-
-def _gc(blocks, s2L, through_ybar) -> None:
-    """Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P) over gradient blocks
-    of a workspace."""
-    for SiY_b, SiC_b, Gc_b, scratch_b in blocks:
-        np.multiply(s2L, SiC_b, out=Gc_b)
-        Gc_b -= np.matmul(SiY_b, through_ybar, out=scratch_b)
+    def _add_worker(self, scratch) -> None:
+        L = self.Ybar.shape[1]
+        residual, fused = [], []
+        for rows in self.row_slices:
+            size = rows.stop - rows.start
+            # (Yc, C, Ybar scratch, stacked Ybar, stacked C)
+            residual.append((self.Yc[rows], self.C[rows], scratch.reshape(-1)[: size * L].reshape(size, L),
+                             self.stacked[rows, :L], self.stacked[rows, L:]))
+            SiB = scratch[:size]
+            # (rows, [Ybar | C], Ybar, Sigma^-1 [Ybar | C], Sigma^-1 Ybar,
+            #  Sigma^-1 C, Gc, scratch, GX, X, LLE term, the two row sums)
+            fused.append((rows, self.stacked[rows], self.Ybar[rows], SiB, SiB[:, :L], self.SiC[rows],
+                          self.Gc[rows], self.scratch[rows], self.GX[rows], self.X[rows],
+                          self.lle[rows], self.Ybar_SiY[rows], self.SiY_sq[rows]))
+        self.residual_views.append(residual)
+        self.fused_views.append(fused)
 
 
-def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
+def _residual(view, basis_t) -> None:
+    """Ybar = Yc - C P^T and the stacked right-hand side [Ybar | C] over one
+    block's residual view.  Ybar is subtracted in the worker's contiguous
+    block scratch and then copied: numpy's subtraction into the strided
+    column block of ``stacked`` measured 1.1-1.6x slower on 400- and
+    789-row blocks, which sit in cache."""
+    Yc_b, C_b, Ybar_b, stacked_y, stacked_c = view
+    np.matmul(C_b, basis_t, out=Ybar_b)
+    np.subtract(Yc_b, Ybar_b, out=Ybar_b)
+    stacked_y[...] = Ybar_b
+    stacked_c[...] = C_b
+
+
+def _fused(view, wb, inner, want_value, through_ybar, s2L, Ut) -> None:
+    """One block of Sigma^-1 [Ybar | C] = ([Ybar | C] - W inner) / sigma2,
+    back-substituted into the worker's block scratch (unless ``inner`` is
+    None: it is there already), and what the
+    evaluation takes from it while it is in cache: the block's rows of
+    Ybar . Sigma^-1 Ybar (with ``want_value``) and, unless ``through_ybar``
+    is None (the value alone), of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C
+    - Sigma^-1 Ybar (s2 Q + P) and of the latents' gradient GX before its
+    chain rule, GX = dE/dPsi dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T."""
+    rows, B, Ybar, SiB, SiY, SiC, Gc, Gpsi, GX, X, lle, Ybar_SiY, SiY_sq = view
+    if inner is not None:
+        wb._back_substitute(B, inner, SiB, rows)
+    if want_value:
+        np.einsum("ij,ij->i", Ybar, SiY, out=Ybar_SiY)
+    if through_ybar is None:
+        return
+    np.einsum("ij,ij->i", SiY, SiY, out=SiY_sq)
+    np.multiply(s2L, SiC, out=Gc)
+    Gc -= np.matmul(SiY, through_ybar, out=Gpsi)
+    np.matmul(Gc, Ut, out=Gpsi)
+    R = X.shape[1]
+    GX[...] = Gpsi[:, :R]
+    for k, (i, j) in enumerate(feature_pairs(R)):
+        GX[:, i] += Gpsi[:, R + k] * X[:, j]
+        GX[:, j] += Gpsi[:, R + k] * X[:, i]
+    GX += lle
+
+
+def _lle_terms(ctx: ModelContext, X, want_value: bool, out) -> float:
+    """The LLE prior's gradient term gamma M^T M X into ``out``, and its
+    sum of squares |M X|^2 for the value (nan without ``want_value``); M
+    is the LLE residual operator."""
+    np.multiply(ctx.gamma, ctx._resid_gram @ X, out=out)
+    return _lle_sum(ctx, X) if want_value else np.nan
+
+
+def _lle_sum(ctx: ModelContext, X) -> float:
+    Mx = ctx._resid_op @ X
+    return float((Mx * Mx).sum())
+
+
+def _in_order(row_sums: np.ndarray) -> float:
+    """The sum of ``row_sums`` added first to last, accumulated in place.
+    It has the bits of numpy's einsum over the whole strided N x L view,
+    which sums row by row; the pairwise order of ``np.sum`` would not
+    (TestRowBlocks pins this)."""
+    return float(np.add.accumulate(row_sums, out=row_sums)[-1])
+
+
+def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
               want_value: bool = True, grad: np.ndarray | None = None):
-    """Objective at raw parameters, or ``None`` outside the prior bounds.
+    """Objective at the latents in ``ws.X`` and the raw U, s2 and sigma2, or
+    ``None`` outside the prior bounds.
 
     ``grad``, a vector laid out like :func:`pack`, receives the gradient over
     (free latents, U, log s2, log sigma2) when given.  Without
@@ -476,102 +564,109 @@ def _evaluate(X, U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     log-determinant and the data fit) are skipped and nan is returned.
     The N x D and N x (L+D) intermediates live in ``ws``.
 
-    The row-wise phases run over the workspace's row blocks, so that each
-    block's intermediates stay in cache: Ybar = Yc - C P^T and the stacked
-    right-hand side B = [Ybar | C], the back-substitution of Sigma^-1 B =
-    (B - W inner) / sigma2, and the gradient's Gc = s2 L Sigma^-1 C -
-    Sigma^-1 Ybar (s2 Q + P).  Every reduction over the N pixels (inner =
-    diag(1 - sigma2 / evals) W^T B, Q, the einsums, Psi^T Gc and the sums)
-    and the SVD stay whole-array calls: splitting a reduction changes its
-    rounding, while splitting rows does not.  So the result does not depend
-    on ``ROW_BLOCK_BYTES``, and Sigma^-1 B is bit for bit
-    ``WoodburySolver.solve(B)``, which makes the same calls on one block.
+    The evaluation runs in phases:
 
-    When :func:`_second_worker` allows one, the helper thread takes the
-    second half of each row-wise phase's blocks, and it computes the value
-    terms and the sigma2 term's data sum while this thread forms Q.  Each is
-    the same call on the same operands as without the helper, so the result
-    does not depend on it either.  Every BLAS and LAPACK reduction (C^T C,
-    the Cholesky factor, the SVD, W^T B, Q, Psi^T Gc) runs in the calling
-    thread, whose BLAS thread count decides their rounding.
+    1. Psi and C = Psi U, whole; then the residual phase over the row
+       blocks, Ybar = Yc - C P^T and the stacked right-hand side
+       B = [Ybar | C], with building the ``WoodburySolver`` (C^T C, its
+       Cholesky factor, the thin SVD of C) as one more task.
+    2. inner = diag(1 - sigma2 / evals) W^T B, one product over the
+       pixels, and Sigma^-1 C = (C - W inner[:, L:]) / sigma2, whole; with
+       one block, that block's whole back-substitution instead, of which
+       Sigma^-1 C is a column block.  Then Q = Ybar^T Sigma^-1 C while the
+       LLE prior's terms are formed.
+    3. The fused phase over the row blocks: each block of Sigma^-1 B =
+       (B - W inner) / sigma2 goes into a block scratch and, while it is in
+       cache, yields the block's rows of the data sums, of Gc and of GX
+       (see :func:`_fused`).
+    4. Psi^T Gc, the sums and the chain rule, whole.
+
+    Every reduction over the N pixels (W^T B, Q, Psi^T Gc, the sums) and
+    the SVD are whole-array calls: splitting a reduction changes its
+    rounding, while splitting rows does not.  The two data sums are row
+    sums added in order, which equal the whole-array einsum (see
+    :func:`_in_order`), and Sigma^-1 C has the bits of the C columns of the
+    fused phase's blocks, since the columns of a product do not depend on
+    each other.  So the result does not depend on ``ROW_BLOCK_BYTES``, and
+    Sigma^-1 B is bit for bit ``WoodburySolver.solve(B)``.
+
+    When :func:`_second_worker` allows one, the calling thread and the
+    helper thread claim the tasks of phases 1 and 3 from one counter (see
+    :func:`_share`), and the helper forms the LLE terms while this thread
+    forms Q.  Each task is the same call on the same operands whichever
+    thread runs it: a BLAS or LAPACK call on the helper is the same
+    one-BLAS-thread call as in this thread, since the helper runs only with
+    one BLAS thread.  So the result does not depend on the helper either.
     """
     if not _within_bounds(U, s2, sigma2):
         return None
+    X = ws.X
     L = ctx.Yc.shape[1]
     n, R = X.shape
     Psi = psi_batch(X, out=ws.Psi)
     C = np.matmul(Psi, U, out=ws.C)
-    wb = WoodburySolver(C, s2, sigma2)
     helper = _second_worker(len(ws.row_slices))
-    basis_t = ctx.pbar.basis.T
-    _halves(helper, lambda blocks: _residual(blocks, basis_t), ws.residual_blocks)
-    stacked, solved = ws.stacked, ws.solved
-    Ybar = stacked[:, :L]
-    inner = wb._inner(stacked)
-    _halves(helper, lambda blocks: wb._back_substitute(stacked, inner, solved, blocks),
-            ws.row_slices)
-    SiY = solved[:, :L]
-    SiC = solved[:, L:]
-
-    def value_terms():
-        Mx = ctx._resid_op @ X
-        return (
-            0.5 * L * wb.logdet()
-            + 0.5 * float(np.einsum("ij,ij->", Ybar, SiY))
-            + 0.5 * ctx.gamma * float((Mx * Mx).sum())
-        )
-
+    if helper is not None:
+        ws.add_helper()
+    wb = _share(helper, _residual, ws.residual_views, (ctx.pbar.basis.T,),
+                WoodburySolver, (C, s2, sigma2))
+    inner = wb._inner(ws.stacked)
     if grad is None:
-        return value_terms() if want_value else np.nan
-
-    def sums_beside_q():
-        value = value_terms() if want_value else np.nan
-        return value, float(np.einsum("ij,ij->", SiY, SiY))
-
+        _share(helper, _fused, ws.fused_views, (wb, inner, True, None, None, None))
+        return _value(L, wb, ws, ctx.gamma, _lle_sum(ctx, X))
+    SiC = ws.SiC
+    if ws.one_block:
+        wb._back_substitute(ws.stacked, inner, ws.block_scratch)
+        inner = None  # the fused phase finds its block solved
+    else:
+        wb._back_substitute(C, inner[:, L:], SiC)
     # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
     # same single product over the pixels, which OpenBLAS runs 2-2.5x
     # faster with the small dimension first.  The fit's bits rest on the two
     # orders summing alike; TestRowBlocks pins that on the shipped shapes,
     # so a BLAS that rounds them differently fails there.  The copy keeps Q
     # C-ordered
-    Q, (value, SiY_sq) = _together(helper, lambda: (SiC.T @ Ybar).T.copy(), sums_beside_q)
-    g_xfree, g_u, g_logs = _blocks(grad, n, R)
+    Q, lle_sum = _together(helper, lambda: (SiC.T @ ws.Ybar).T.copy(),
+                           lambda: _lle_terms(ctx, X, want_value, ws.lle))
     # dE/dC through Sigma and through Ybar, fused into one N x L product
     through_ybar = s2 * Q + ctx.pbar.basis
-    _halves(helper, lambda blocks: _gc(blocks, s2 * L, through_ybar), ws.gradient_blocks)
-    Gc = ws.Gc
-    np.matmul(Psi.T, Gc, out=g_u)
-    Gpsi = np.matmul(Gc, U.T, out=ws.scratch)
-    GX = ws.GX
-    GX[:] = Gpsi[:, :R]
-    for k, (i, j) in enumerate(feature_pairs(R)):
-        GX[:, i] += Gpsi[:, R + k] * X[:, j]
-        GX[:, j] += Gpsi[:, R + k] * X[:, i]
-    GX += ctx.gamma * (ctx._resid_gram @ X)
+    _share(helper, _fused, ws.fused_views, (wb, inner, want_value, through_ybar, s2 * L, U.T))
+    g_xfree, g_u, g_logs = _blocks(grad, n, R)
+    np.matmul(Psi.T, ws.Gc, out=g_u)
     # chain rule through x_R = 1 - sum of the free coordinates
-    np.subtract(GX[:, : R - 1], GX[:, R - 1 :], out=g_xfree)
+    np.subtract(ws.GX[:, : R - 1], ws.GX[:, R - 1 :], out=g_xfree)
     CSiC = np.multiply(C, SiC, out=ws.scratch)
     g_s2 = 0.5 * L * float(CSiC.sum()) - 0.5 * float((Q * Q).sum())
-    g_sigma2 = 0.5 * L * wb.trace_inv() - 0.5 * SiY_sq
+    g_sigma2 = 0.5 * L * wb.trace_inv() - 0.5 * _in_order(ws.SiY_sq)
     g_logs[0] = s2 * g_s2
     g_logs[1] = sigma2 * g_sigma2
-    return value
+    return _value(L, wb, ws, ctx.gamma, lle_sum) if want_value else np.nan
+
+
+def _value(L, wb, ws, gamma, lle_sum) -> float:
+    """The objective from its three terms: the log-determinant, the data
+    fit from the fused phase's row sums, and the LLE prior."""
+    return 0.5 * L * wb.logdet() + 0.5 * _in_order(ws.Ybar_SiY) + 0.5 * gamma * lle_sum
+
+
+def _state_workspace(state: LatentState, ctx: ModelContext) -> _Workspace:
+    ws = _Workspace(ctx.Yc, state.n_endmembers)
+    ws.X[...] = state.X
+    return ws
 
 
 def neg_log_posterior(state: LatentState, ctx: ModelContext) -> float:
     """Negative log posterior up to an additive constant."""
-    n, R = state.X.shape
-    ws = _Workspace(ctx.Yc, R)
-    value = _evaluate(state.X, state.U, state.s2, state.sigma2, ctx, ws)
+    value = _evaluate(state.U, state.s2, state.sigma2, ctx, _state_workspace(state, ctx))
     return np.inf if value is None else value
 
 
 def grad_neg_log_posterior(state: LatentState, ctx: ModelContext) -> dict:
     """Analytic gradient blocks over (free latents, U, log s2, log sigma2)."""
     n, R = state.X.shape
-    ws = _Workspace(ctx.Yc, R)
     grad = np.empty(n * (R - 1) + feature_dim(R) ** 2 + 2)
-    if _evaluate(state.X, state.U, state.s2, state.sigma2, ctx, ws, False, grad) is None:
+    ws = _state_workspace(state, ctx)
+    if _evaluate(state.U, state.s2, state.sigma2, ctx, ws, False, grad) is None:
         raise ValueError("state outside the prior bounds")
     X_free, U, logs = _blocks(grad, n, R)
     return {"X_free": X_free, "U": U, "log_s2": float(logs[0]), "log_sigma2": float(logs[1])}
@@ -615,21 +710,24 @@ def objective_function(ctx: ModelContext, n_pixels: int, R: int):
     evaluation of one callable reuses one set of buffers and one split into
     row blocks of ``ROW_BLOCK_BYTES``, worked out by ``_Workspace`` when the
     callable is made, so the constant is read then; ``_evaluate`` runs each
-    row-wise phase, Sigma^-1's back-substitution included, over those
-    blocks.  Each returned gradient is a fresh array.  Each evaluation asks
-    once whether the helper thread may take half of its row-wise work (see
-    :func:`_second_worker`; it needs four or more blocks); the callable has no
-    setting for it.  Values and gradients depend neither on the block size
-    nor on the helper.  One callable is not for concurrent use: its
-    evaluations share the buffers.
+    row-wise phase over those blocks, and back-substitutes Sigma^-1
+    [Ybar | C] one block at a time into a block-sized scratch, so no
+    N x (L+D) solve is held.  Each returned gradient is a fresh array.  Each
+    evaluation asks once whether the helper thread may claim row blocks
+    beside the calling thread (see :func:`_second_worker`; it needs four or
+    more blocks); the callable has no setting for it, and makes the
+    helper's block scratch the first time the helper runs.  Values and
+    gradients depend neither on the block size nor on which worker takes
+    which block.  One callable is not for concurrent use: its evaluations
+    share the buffers.
     """
     ws = _Workspace(ctx.Yc, R)
 
     def evaluate(w: np.ndarray, want_value: bool) -> tuple[float, np.ndarray]:
-        X, U, s2, sigma2 = unpack(w, n_pixels, R, out=ws.X)
+        _, U, s2, sigma2 = unpack(w, n_pixels, R, out=ws.X)
         grad = np.empty(w.shape)
         try:
-            value = _evaluate(X, U, s2, sigma2, ctx, ws, want_value, grad)
+            value = _evaluate(U, s2, sigma2, ctx, ws, want_value, grad)
         except WoodburyError:
             value = None
         if value is None:

@@ -3,6 +3,7 @@ and spectral-map recovery."""
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -418,14 +419,14 @@ class TestRowBlocks:
     @pytest.mark.parametrize("rows", [7, 64])
     def test_objective_does_not_depend_on_the_block_size(self, rows, monkeypatch):
         ctx, ws = self._setup(31)
-        assert len(model._Workspace(ctx.Yc, self.R).residual_blocks) == 1
+        assert len(model._Workspace(ctx.Yc, self.R).row_slices) == 1
         fg = objective_function(ctx, self.n, self.R)
         whole = [(fg(w), fg.gradient(w)) for w in ws]
         self._block_rows(monkeypatch, rows)
-        blocks = model._Workspace(ctx.Yc, self.R).residual_blocks
+        blocks = model._Workspace(ctx.Yc, self.R).row_slices
         count = -(-self.n // rows)
         assert len(blocks) == count + count % 2
-        sizes = {Yc_b.shape[0] for Yc_b, *_ in blocks}
+        sizes = {b.stop - b.start for b in blocks}
         assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
         fg = objective_function(ctx, self.n, self.R)
         for w, ((value, g), g_probe) in zip(ws, whole):
@@ -450,18 +451,65 @@ class TestRowBlocks:
             # the byte bound holds unless the two-row floor forbids it
             assert max(sizes) <= step or len(blocks) == n // 4 * 2
 
+    @staticmethod
+    def _shipped_layout(n):
+        """The evaluation's operands at the shipped L = 160, D = 6 and N: the
+        stacked right-hand side B = [Ybar | C], a solver, inner = diag(1 -
+        sigma2 / evals) W^T B, the workspace's row blocks and one block
+        scratch per block, as the fused phase fills them."""
+        l, d = 160, feature_dim(3)
+        rng = np.random.default_rng(n)
+        stacked = rng.normal(size=(n, l + d))
+        wb = WoodburySolver(stacked[:, l:], 0.7, 1e-4)
+        inner = wb._inner(stacked)
+        blocks = model._Workspace(np.zeros((n, l)), 3).row_slices
+        solved = [wb._back_substitute(stacked[rows], inner, np.empty((rows.stop - rows.start, l + d)),
+                                      rows) for rows in blocks]
+        return l, stacked, wb, inner, blocks, solved
+
     @pytest.mark.parametrize("n", [400, 2500, 10000])
     def test_q_orientation_sums_alike(self, n):
         # _evaluate forms Q = Ybar^T SiC as (SiC^T Ybar)^T; the fit is the
         # same to the bit only while both products round alike.  The views
-        # have the evaluation's layout: column blocks of N x (L+D) buffers,
-        # at the shipped L = 160, D = 6 and the shipped scene sizes
+        # have the evaluation's layout: Ybar a column block of an N x (L+D)
+        # buffer, and SiC a column block of one (one row block) or an N x D
+        # array of its own (several), at the shipped L = 160, D = 6 and the
+        # shipped scene sizes
         l, d = 160, feature_dim(3)
         rng = np.random.default_rng(n)
         stacked = rng.normal(size=(n, l + d))
         solved = rng.normal(size=(n, l + d))
-        Ybar, SiC = stacked[:, :l], solved[:, l:]
-        assert np.array_equal((SiC.T @ Ybar).T, Ybar.T @ SiC)
+        Ybar = stacked[:, :l]
+        for SiC in (solved[:, l:], solved[:, l:].copy()):
+            assert np.array_equal((SiC.T @ Ybar).T, Ybar.T @ SiC)
+
+    @pytest.mark.parametrize("n", [400, 2500, 10000])
+    def test_row_sums_added_in_order_equal_the_whole_sums(self, n):
+        # the fused phase sums each block's rows of Ybar . Sigma^-1 Ybar and
+        # |Sigma^-1 Ybar|^2 into per-row sums, which _in_order adds first to
+        # last; the fit is the same to the bit only while that equals one
+        # einsum over the whole (L+D)-wide strided views, as formed before
+        # the phases were fused
+        l, stacked, wb, inner, blocks, solved = self._shipped_layout(n)
+        Ybar = stacked[:, :l]
+        SiY = wb.solve(stacked)[:, :l]
+        Ybar_SiY, SiY_sq = np.empty((2, n))
+        for rows, SiB in zip(blocks, solved):
+            np.einsum("ij,ij->i", Ybar[rows], SiB[:, :l], out=Ybar_SiY[rows])
+            np.einsum("ij,ij->i", SiB[:, :l], SiB[:, :l], out=SiY_sq[rows])
+        assert model._in_order(Ybar_SiY) == float(np.einsum("ij,ij->", Ybar, SiY))
+        assert model._in_order(SiY_sq) == float(np.einsum("ij,ij->", SiY, SiY))
+
+    @pytest.mark.parametrize("n", [400, 2500, 10000])
+    def test_sigma_inv_c_pass_equals_the_blocks_c_columns(self, n):
+        # with several row blocks, _evaluate forms Sigma^-1 C before Q as
+        # (C - W inner[:, L:]) / sigma2 over the whole array; it must equal
+        # the C columns of the fused phase's full-width blocks to the bit
+        l, stacked, wb, inner, blocks, solved = self._shipped_layout(n)
+        SiC = wb._back_substitute(np.ascontiguousarray(stacked[:, l:]), inner[:, l:],
+                                  np.empty((n, stacked.shape[1] - l)))
+        assert np.array_equal(SiC, np.vstack([SiB[:, l:] for SiB in solved]))
+        assert np.array_equal(np.vstack(solved), wb.solve(stacked))
 
     def test_warm_evaluation_allocates_no_image_sized_buffer(self):
         n, l, R = 4000, 160, 3
@@ -469,7 +517,7 @@ class TestRowBlocks:
         Yc, _ = center(scene.image)
         pb = pca_basis(Yc.pixels, feature_dim(R))
         ctx = ModelContext(Yc=Yc.pixels, pbar=pb, lle=lle_weights(Yc.pixels, K=R))
-        assert len(model._Workspace(ctx.Yc, R).residual_blocks) > 1
+        assert len(model._Workspace(ctx.Yc, R).row_slices) > 1
         state = model.initial_state(ctx, random_sum_to_one(np.random.default_rng(0), n, R))
         w = pack(state)
         fg = objective_function(ctx, n, R)
@@ -494,9 +542,62 @@ def force_second_worker(monkeypatch, on):
                         (lambda n_blocks: model._helper_thread()) if on else (lambda n_blocks: None))
 
 
+def record_workspaces(monkeypatch) -> list:
+    """The workspaces the objective makes from here on, in order."""
+    made = []
+
+    class Recorded(model._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(model, "_Workspace", Recorded)
+    return made
+
+
+def _run_now(fn, args) -> Future:
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except BaseException as exc:  # noqa: BLE001 - handed back as a real helper would
+        future.set_exception(exc)
+    return future
+
+
+class EagerHelper:
+    """Runs each task as it is handed over, before the caller goes on: the
+    helper claims every block, and its LLE terms come before Q."""
+
+    def submit(self, fn, *args):
+        return _run_now(fn, args)
+
+
+class DeferredHelper:
+    """Runs each task only when the caller waits for it: the helper claims
+    no block, and its LLE terms come after Q."""
+
+    def submit(self, fn, *args):
+        ran = []
+
+        def done():
+            if not ran:
+                ran.append(_run_now(fn, args))
+            return ran[0]
+
+        class Later:
+            def exception(self):
+                return done().exception()
+
+            def result(self):
+                return done().result()
+
+        return Later()
+
+
 class TestSecondWorker:
-    """The helper thread takes half of each row-wise phase and the sums
-    beside Q; no result may depend on it.  Blocks as in TestRowBlocks."""
+    """The helper thread claims blocks of each row-wise phase beside the
+    calling thread, and forms the LLE terms beside Q; no result may depend
+    on it.  Blocks as in TestRowBlocks."""
 
     n, l, R = 120, 20, 3
 
@@ -506,7 +607,7 @@ class TestSecondWorker:
         ctx = tiny_ctx(rng, n=self.n, l=self.l, R=self.R, gamma=1.3)
         states = [random_state(rng, self.n, self.R, s2=float(rng.uniform(0.2, 1.5)))
                   for _ in range(3)]
-        assert len(model._Workspace(ctx.Yc, self.R).residual_blocks) >= 2
+        assert len(model._Workspace(ctx.Yc, self.R).row_slices) >= 2
         return ctx, [pack(st) for st in states]
 
     def _entries(self, ctx, ws, on, monkeypatch):
@@ -523,6 +624,35 @@ class TestSecondWorker:
             assert np.isfinite(value) and got_value == value
             assert np.array_equal(got_g, g)
             assert np.array_equal(got_probe, g_probe)
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    @pytest.mark.parametrize("helper", ["eager", "deferred", "thread"])
+    def test_no_assignment_of_blocks_changes_a_bit(self, rows, helper, monkeypatch):
+        # the helper claims every block, no block, or what the real thread
+        # gets; values and gradients equal those of one worker to the bit
+        ctx, ws = self._setup(48, rows, monkeypatch)
+        alone = self._entries(ctx, ws, False, monkeypatch)
+        made = record_workspaces(monkeypatch)
+        workers = []
+        for phase in ("_residual", "_fused"):
+            def claimed(view, *args, _task=getattr(model, phase), _phase=phase):
+                views = made[-1].residual_views if _phase == "_residual" else made[-1].fused_views
+                workers.append(next(k for k in (0, 1) if any(v is view for v in views[k])))
+                return _task(view, *args)
+
+            monkeypatch.setattr(model, phase, claimed)
+        fake = {"eager": EagerHelper(), "deferred": DeferredHelper(),
+                "thread": model._helper_thread()}[helper]
+        monkeypatch.setattr(model, "_second_worker", lambda n_blocks: fake)
+        fg = objective_function(ctx, self.n, self.R)
+        for w, ((value, g), g_probe) in zip(ws, alone):
+            got_value, got_g = fg(w)
+            assert got_value == value
+            assert np.array_equal(got_g, g)
+            assert np.array_equal(fg.gradient(w), g_probe)
+        assert len(workers) == 3 * 2 * 2 * len(made[-1].row_slices)
+        if helper != "thread":
+            assert set(workers) == {1 if helper == "eager" else 0}
 
     def test_rejected_states_give_nan_gradients(self, monkeypatch):
         ctx, (w, _, _) = self._setup(43, 7, monkeypatch)
@@ -614,15 +744,72 @@ class TestSecondWorker:
         assert len(got) == 4
 
     def test_workers_take_separate_scratch(self, monkeypatch):
+        # each worker back-substitutes into, and forms Ybar in, a block
+        # scratch of its own, apart from every other buffer of the workspace
         for rows in (7, 64):
             monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * (self.l + feature_dim(self.R)))
             ws = model._Workspace(np.zeros((self.n, self.l)), self.R)
-            scratch = [block[2] for block in ws.residual_blocks]
-            half = len(scratch) // 2
-            assert half >= 1
-            for mine in scratch[:half]:
-                for theirs in scratch[half:]:
-                    assert not np.shares_memory(mine, theirs)
+            ws.add_helper()
+            assert len(ws.row_slices) >= 2 and len(ws.fused_views) == 2
+            shared = [ws.X, ws.Psi, ws.C, ws.SiC, ws.Gc, ws.scratch, ws.GX, ws.lle, ws.stacked,
+                      ws.Ybar_SiY, ws.SiY_sq]
+            mine, theirs = (
+                [view[3] for view in ws.fused_views[k]] + [view[2] for view in ws.residual_views[k]]
+                for k in (0, 1))
+            for a in mine:
+                assert not any(np.shares_memory(a, b) for b in theirs + shared)
+            for b in theirs:
+                assert not any(np.shares_memory(b, c) for c in shared)
+                assert b.shape[0] <= rows
+
+    def test_helper_scratch_only_when_the_split_runs(self, monkeypatch):
+        # a fit at N = 4,000, L = 160 holds one N x (L+D) array, the stacked
+        # right-hand side, and the helper's block scratch only once the
+        # helper has run; a one-block fit makes none for it
+        R = self.R
+        made = record_workspaces(monkeypatch)
+
+        def buffers(ws):
+            # the distinct arrays that the workspace and its views own
+            arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+            for views in ws.residual_views + ws.fused_views:
+                arrays += [a for view in views for a in view if isinstance(a, np.ndarray)]
+            owners = {}
+            for a in arrays:
+                while a.base is not None:
+                    a = a.base
+                owners[id(a)] = a
+            return [a for a in owners.values() if a.shape != ws.Yc.shape]
+
+        for n in (4000, 400):
+            l = 160
+            width = l + feature_dim(R)
+            rng = np.random.default_rng(47)
+            ctx = tiny_ctx(rng, n=n, l=l, R=R, gamma=1.3)
+            w = pack(model.initial_state(ctx, random_sum_to_one(rng, n, R)))
+            force_second_worker(monkeypatch, False)
+            fg = objective_function(ctx, n, R)
+            fg(w)
+            ws = made[-1]
+            alone = buffers(ws)
+            assert len(ws.fused_views) == 1
+            if n == 400:
+                assert len(ws.row_slices) == 1
+            else:
+                assert len(ws.row_slices) >= 4
+                assert [a.shape for a in alone].count((n, width)) == 1
+                assert max(a.nbytes for a in alone if a is not ws.stacked) < ws.stacked.nbytes / 4
+                assert sum(a.nbytes for a in alone) < 1.5 * ws.stacked.nbytes
+            force_second_worker(monkeypatch, True)
+            fg(w)
+            split = buffers(ws)
+            assert len(ws.fused_views) == 2
+            if n == 400:
+                assert len(split) == len(alone)
+            else:
+                extra = [a for a in split if all(a is not b for b in alone)]
+                assert [a.shape for a in extra] == [ws.block_shape]
+                assert ws.block_shape[0] < n / 4
 
     def test_when_the_helper_runs(self, monkeypatch):
         helper = model._helper_thread()

@@ -248,7 +248,7 @@ def test_fit_does_not_depend_on_the_row_block_size(fixture, monkeypatch):
     width = fx.recipe.L + feature_dim(fx.recipe.R)
     for rows in (7, 64):
         monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * width)
-        assert len(model._Workspace(fx.ctx.Yc, fx.recipe.R).residual_blocks) > 1
+        assert len(model._Workspace(fx.ctx.Yc, fx.recipe.R).row_slices) > 1
         got, report = scg_optimize(state0, fx.ctx, max_iter=300, tol=1e-12)
         assert np.array_equal(got.X, whole.X)
         assert np.array_equal(got.U, whole.U)

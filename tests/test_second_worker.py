@@ -47,7 +47,7 @@ def same(a, b):
 
 one_block = fit(300)
 after_one_block = threading.active_count()
-blocks = len(model._Workspace(np.zeros((1600, 160)), 3).residual_blocks)
+blocks = len(model._Workspace(np.zeros((1600, 160)), 3).row_slices)
 auto = fit(1600)
 after_split = threading.active_count()
 model._second_worker = lambda n_blocks: None
