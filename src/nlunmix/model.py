@@ -507,12 +507,12 @@ def _residual(view, basis_t) -> None:
 def _fused(view, wb, inner, want_value, through_ybar, s2L, Ut) -> None:
     """One block of Sigma^-1 [Ybar | C] = ([Ybar | C] - W inner) / sigma2,
     back-substituted into the worker's block scratch (unless ``inner`` is
-    None: it is there already), and what the
-    evaluation takes from it while it is in cache: the block's rows of
-    Ybar . Sigma^-1 Ybar (with ``want_value``) and, unless ``through_ybar``
-    is None (the value alone), of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C
-    - Sigma^-1 Ybar (s2 Q + P) and of the latents' gradient GX before its
-    chain rule, GX = dE/dPsi dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T."""
+    None: it is there already), and what the evaluation takes from it
+    while it is in cache: the block's rows of Ybar . Sigma^-1 Ybar (with
+    ``want_value``) and, unless ``through_ybar`` is None (the value alone),
+    of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P)
+    and of the latents' gradient before its chain rule, GX = dE/dPsi
+    dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T."""
     rows, B, Ybar, SiB, SiY, SiC, Gc, Gpsi, GX, X, lle, Ybar_SiY, SiY_sq = view
     if inner is not None:
         wb._back_substitute(B, inner, SiB, rows)
