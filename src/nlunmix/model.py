@@ -424,11 +424,12 @@ class _Workspace:
     small scenes, up to 789 rows at L = 160, D = 6, are one block.  The one
     N x (L+D) array is ``stacked``, the right-hand side [Ybar | C]: its
     projection W^T [Ybar | C] is one product over the pixels, and
-    projecting Ybar and C apart would change its bits.  Sigma^-1 [Ybar | C]
-    is never held whole.  Each worker back-substitutes one block at a time
-    into a block scratch of its own, sized for the largest block, which in
-    the residual phase holds the block's Ybar before it is copied into
-    ``stacked``.  ``residual_views[k]`` and ``fused_views[k]`` hold worker
+    projecting Ybar and C apart would change its bits.  Sigma^-1 C is an
+    N x D array (``SiC``); Sigma^-1 [Ybar | C] is never held whole.  Each
+    worker back-substitutes one block of it at a time into a block scratch
+    of its own, sized for the largest block, which in the residual phase
+    holds the block's Ybar before it is copied into ``stacked``.
+    ``residual_views[k]`` and ``fused_views[k]`` hold worker
     k's views of every block for those two phases.  Worker 0 is the calling
     thread; the helper's scratch and views (worker 1) are made the first
     time the helper runs (:meth:`add_helper`), so a fit that never splits
@@ -450,31 +451,20 @@ class _Workspace:
         # per row, Ybar . Sigma^-1 Ybar and |Sigma^-1 Ybar|^2
         self.Ybar_SiY, self.SiY_sq = np.empty((2, n_pixels))
         blocks = _split_rows(n_pixels, max(2, ROW_BLOCK_BYTES // (8 * (L + D))))
+        self.SiC = np.empty((n_pixels, D))
         self.row_slices = blocks
-        self.one_block = len(blocks) == 1
         self.block_shape = (max(rows.stop - rows.start for rows in blocks), L + D)
-        # the calling thread's block scratch; with one block, that block's
-        # back-substitution is the whole of Sigma^-1 [Ybar | C], so Sigma^-1
-        # C is its column block
-        self.block_scratch = np.empty(self.block_shape)
-        self.SiC = self.block_scratch[:, L:] if self.one_block else np.empty((n_pixels, D))
         self.residual_views, self.fused_views = [], []
-        self._add_worker(self.block_scratch)
+        self._add_worker()
 
     def add_helper(self) -> None:
-        """Make the helper's block scratch and views, once.  With one block
-        no two workers hold a block at once, so the helper shares the
-        calling thread's."""
-        if len(self.fused_views) > 1:
-            return
-        if self.one_block:
-            self.residual_views *= 2
-            self.fused_views *= 2
-        else:
-            self._add_worker(np.empty(self.block_shape))
+        """Make the helper's block scratch and views, once."""
+        if len(self.fused_views) == 1:
+            self._add_worker()
 
-    def _add_worker(self, scratch) -> None:
+    def _add_worker(self) -> None:
         L = self.Ybar.shape[1]
+        scratch = np.empty(self.block_shape)
         residual, fused = [], []
         for rows in self.row_slices:
             size = rows.stop - rows.start
@@ -506,16 +496,18 @@ def _residual(view, basis_t) -> None:
 
 def _fused(view, wb, inner, want_value, through_ybar, s2L, Ut) -> None:
     """One block of Sigma^-1 [Ybar | C] = ([Ybar | C] - W inner) / sigma2,
-    back-substituted into the worker's block scratch (unless ``inner`` is
-    None: it is there already), and what the evaluation takes from it
-    while it is in cache: the block's rows of Ybar . Sigma^-1 Ybar (with
-    ``want_value``) and, unless ``through_ybar`` is None (the value alone),
-    of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P)
-    and of the latents' gradient before its chain rule, GX = dE/dPsi
-    dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T."""
+    back-substituted into the worker's block scratch, and what the
+    evaluation takes from it while it is in cache: the block's rows of
+    Ybar . Sigma^-1 Ybar (with ``want_value``) and, unless ``through_ybar``
+    is None (the value alone), of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C
+    - Sigma^-1 Ybar (s2 Q + P) and of the latents' gradient before its
+    chain rule, GX = dE/dPsi dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T.
+    The block's C columns go unused, since Sigma^-1 C is formed whole
+    before Q; yet back-substituting the Ybar columns alone, a strided view
+    of ``stacked``, measured 8-23% slower on 40- to 714-row blocks than the
+    whole contiguous block, which numpy subtracts as one flat array."""
     rows, B, Ybar, SiB, SiY, SiC, Gc, Gpsi, GX, X, lle, Ybar_SiY, SiY_sq = view
-    if inner is not None:
-        wb._back_substitute(B, inner, SiB, rows)
+    wb._back_substitute(B, inner, SiB, rows)
     if want_value:
         np.einsum("ij,ij->i", Ybar, SiY, out=Ybar_SiY)
     if through_ybar is None:
@@ -571,10 +563,8 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
        B = [Ybar | C], with building the ``WoodburySolver`` (C^T C, its
        Cholesky factor, the thin SVD of C) as one more task.
     2. inner = diag(1 - sigma2 / evals) W^T B, one product over the
-       pixels, and Sigma^-1 C = (C - W inner[:, L:]) / sigma2, whole; with
-       one block, that block's whole back-substitution instead, of which
-       Sigma^-1 C is a column block.  Then Q = Ybar^T Sigma^-1 C while the
-       LLE prior's terms are formed.
+       pixels, and Sigma^-1 C = (C - W inner[:, L:]) / sigma2, whole.  Then
+       Q = Ybar^T Sigma^-1 C while the LLE prior's terms are formed.
     3. The fused phase over the row blocks: each block of Sigma^-1 B =
        (B - W inner) / sigma2 goes into a block scratch and, while it is in
        cache, yields the block's rows of the data sums, of Gc and of GX
@@ -614,12 +604,7 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     if grad is None:
         _share(helper, _fused, ws.fused_views, (wb, inner, True, None, None, None))
         return _value(L, wb, ws, ctx.gamma, _lle_sum(ctx, X))
-    SiC = ws.SiC
-    if ws.one_block:
-        wb._back_substitute(ws.stacked, inner, ws.block_scratch)
-        inner = None  # the fused phase finds its block solved
-    else:
-        wb._back_substitute(C, inner[:, L:], SiC)
+    SiC = wb._back_substitute(C, inner[:, L:], ws.SiC)
     # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
     # same single product over the pixels, which OpenBLAS runs 2-2.5x
     # faster with the small dimension first.  The fit's bits rest on the two

@@ -472,9 +472,8 @@ class TestRowBlocks:
         # _evaluate forms Q = Ybar^T SiC as (SiC^T Ybar)^T; the fit is the
         # same to the bit only while both products round alike.  The views
         # have the evaluation's layout: Ybar a column block of an N x (L+D)
-        # buffer, and SiC a column block of one (one row block) or an N x D
-        # array of its own (several), at the shipped L = 160, D = 6 and the
-        # shipped scene sizes
+        # buffer, and SiC a column block of one or an N x D array of its
+        # own, at the shipped L = 160, D = 6 and the shipped scene sizes
         l, d = 160, feature_dim(3)
         rng = np.random.default_rng(n)
         stacked = rng.normal(size=(n, l + d))
@@ -502,9 +501,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [400, 2500, 10000])
     def test_sigma_inv_c_pass_equals_the_blocks_c_columns(self, n):
-        # with several row blocks, _evaluate forms Sigma^-1 C before Q as
-        # (C - W inner[:, L:]) / sigma2 over the whole array; it must equal
-        # the C columns of the fused phase's full-width blocks to the bit
+        # _evaluate forms Sigma^-1 C before Q as (C - W inner[:, L:]) /
+        # sigma2 over the whole array; it must equal the C columns of the
+        # fused phase's full-width blocks to the bit
         l, stacked, wb, inner, blocks, solved = self._shipped_layout(n)
         SiC = wb._back_substitute(np.ascontiguousarray(stacked[:, l:]), inner[:, l:],
                                   np.empty((n, stacked.shape[1] - l)))
@@ -765,7 +764,7 @@ class TestSecondWorker:
     def test_helper_scratch_only_when_the_split_runs(self, monkeypatch):
         # a fit at N = 4,000, L = 160 holds one N x (L+D) array, the stacked
         # right-hand side, and the helper's block scratch only once the
-        # helper has run; a one-block fit makes none for it
+        # helper has run; a one-block fit, which runs no helper, has none
         R = self.R
         made = record_workspaces(monkeypatch)
 
@@ -795,21 +794,18 @@ class TestSecondWorker:
             assert len(ws.fused_views) == 1
             if n == 400:
                 assert len(ws.row_slices) == 1
-            else:
-                assert len(ws.row_slices) >= 4
-                assert [a.shape for a in alone].count((n, width)) == 1
-                assert max(a.nbytes for a in alone if a is not ws.stacked) < ws.stacked.nbytes / 4
-                assert sum(a.nbytes for a in alone) < 1.5 * ws.stacked.nbytes
+                continue
+            assert len(ws.row_slices) >= 4
+            assert [a.shape for a in alone].count((n, width)) == 1
+            assert max(a.nbytes for a in alone if a is not ws.stacked) < ws.stacked.nbytes / 4
+            assert sum(a.nbytes for a in alone) < 1.5 * ws.stacked.nbytes
             force_second_worker(monkeypatch, True)
             fg(w)
             split = buffers(ws)
             assert len(ws.fused_views) == 2
-            if n == 400:
-                assert len(split) == len(alone)
-            else:
-                extra = [a for a in split if all(a is not b for b in alone)]
-                assert [a.shape for a in extra] == [ws.block_shape]
-                assert ws.block_shape[0] < n / 4
+            extra = [a for a in split if all(a is not b for b in alone)]
+            assert [a.shape for a in extra] == [ws.block_shape]
+            assert ws.block_shape[0] < n / 4
 
     def test_when_the_helper_runs(self, monkeypatch):
         helper = model._helper_thread()
