@@ -158,7 +158,10 @@ def _load_lambda_csv(path: Path, n: int, k: int) -> LleWeights:
             f"{path}: pixel {pixel} has {counts[pixel]} weights, expected exactly {k}"
         )
     rows = rows[np.argsort(rows["i"], kind="stable")]
-    return LleWeights(neighbors=rows["j"].reshape(n, k), weights=rows["w"].reshape(n, k))
+    try:
+        return LleWeights(neighbors=rows["j"].reshape(n, k), weights=rows["w"].reshape(n, k))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_reduce(args) -> None:

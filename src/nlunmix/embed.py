@@ -85,6 +85,9 @@ class LleWeights:
             raise ValueError("neighbors and weights must both be N x K")
         if np.any(nb == np.arange(nb.shape[0])[:, None]):
             raise ValueError("self-neighbors are not allowed")
+        finite = np.isfinite(w).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"pixel {int(np.argmin(finite))} has a non-finite weight")
         nb.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "neighbors", nb)

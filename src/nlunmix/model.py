@@ -36,13 +36,16 @@ U_MAX = 1e3
 # The objective's row-wise phases (the residual with the stacked right-hand
 # side [Ybar | C], and the fused phase that back-substitutes a block of
 # Sigma^-1 [Ybar | C] into a worker's block scratch and uses it while it is
-# in cache) take rows in blocks of at most this size.  The workspace works
-# out its split from this constant once per fit (see :func:`_split_rows`):
-# an array larger than one block is cut into an even count of blocks of
-# equal size (to a row), which the calling thread and the helper thread
-# (see :func:`_second_worker`) claim one at a time.  Row-wise arithmetic
-# does not depend on the split, so results depend neither on this constant
-# nor on which worker takes which block.
+# in cache) take rows in blocks of at most this size, one task per block,
+# which the calling thread and the helper thread (see :func:`_second_worker`)
+# claim one at a time from one counter (see :func:`_run`).  The workspace
+# works out its split from this constant once per fit (see
+# :func:`_split_rows`): an array larger than one block is cut into an even
+# count of blocks of equal size (to a row).  The even count lifts a
+# three-block scene (N = 1,579-2,367 at L = 160) to the four blocks the
+# helper needs.  Row-wise arithmetic does not depend on the split, so
+# results depend neither on this constant nor on which worker takes which
+# block.
 ROW_BLOCK_BYTES = 2**20
 
 
@@ -119,15 +122,16 @@ def _openblas_thread_counts() -> tuple | None:
 
 def _second_worker(n_blocks: int):
     """The helper thread's executor when a row-wise phase of ``n_blocks``
-    blocks may run on two workers, else None (everything runs in the calling
-    thread).  That needs two CPUs this process may use, one thread in every
-    loaded OpenBLAS, and two blocks for each worker.  With more BLAS
-    threads, OpenBLAS's spinning threads take the helper's core and the
-    split evaluation ran 5-19% slower; a thread count that cannot be read
-    counts as more than one.  Each evaluation hands work to the helper three
-    times, at about 50 us each, so a small scene does not pay for it: at
-    L = 160 the split evaluation was 13-15% slower at N = 800 and 1,100
-    (two blocks) and 20-22% faster at N = 1,600 and 2,500 (four)."""
+    blocks may run on two workers, else None (:func:`_run` then runs every
+    task in the calling thread).  That needs two CPUs this process may use,
+    one thread in every loaded OpenBLAS, and two blocks for each worker.
+    With more BLAS threads, OpenBLAS's spinning threads take the helper's
+    core and the split evaluation ran 5-19% slower; a thread count that
+    cannot be read counts as more than one.  Each evaluation hands work to
+    the helper three times, one :func:`_run` per phase, at about 50 us
+    each, so a small scene does not pay for it: at L = 160 the split
+    evaluation was 13-15% slower at N = 800 and 1,100 (two blocks) and
+    20-22% faster at N = 1,600 and 2,500 (four)."""
     affinity = getattr(os, "sched_getaffinity", None)
     if n_blocks < 4 or affinity is None or len(affinity(0)) < 2:
         return None
@@ -137,53 +141,38 @@ def _second_worker(n_blocks: int):
     return _helper_thread()
 
 
-def _together(helper, here, there):
-    """``(here(), there())``, with ``there`` on the helper thread while
-    ``here`` runs in this one, or both in this one when ``helper`` is None.
-    The helper runs in a copy of this thread's context, so numpy's error
-    state applies to it too.  Both have finished when this returns or
-    raises; an exception of either propagates."""
+def _run(helper, ws: _Workspace, tasks) -> list:
+    """``[task(scratch) for task in tasks]``, in task order, where ``scratch``
+    is the block scratch of the worker that runs the task.  With no helper
+    every task runs here, in order; else this thread and the helper claim
+    tasks from one shared counter until none is left, so a worker that
+    finishes early takes more.  The helper runs in a copy of this thread's
+    context, so numpy's error state applies to it too.  Both workers have
+    finished when this returns or raises; an exception of either
+    propagates.  The tasks of one call must not depend on each other."""
     if helper is None:
-        return here(), there()
-    future = helper.submit(contextvars.copy_context().run, there)
-    try:
-        got = here()
-    finally:
-        future.exception()  # wait: the helper may still be writing shared buffers
-    return got, future.result()
-
-
-def _share(helper, task, views, args, first=None, first_args=()):
-    """``task(view, *args)`` for every block and ``first(*first_args)``, when
-    given, as one more task; returns what ``first`` returns.  ``views[k]``
-    holds worker k's view of each block.  With no helper everything runs
-    here in order, over ``views[0]``; else this thread and the helper (with
-    ``views[1]``) claim tasks from one shared counter, ``first`` before the
-    blocks, until none is left, so a worker that finishes early takes more
-    blocks.  Blocks are rows, which do not depend on each other, and each
-    worker writes its own block scratch, so the claims change no bit."""
-    if helper is None:
-        got = None if first is None else first(*first_args)
-        for view in views[0]:
-            task(view, *args)
-        return got
-    n_blocks = len(views[0])
+        scratch = ws.block_scratch[0]
+        return [task(scratch) for task in tasks]
+    if len(ws.block_scratch) == 1:  # the helper's, made the first time it runs
+        ws.block_scratch.append(np.empty_like(ws.block_scratch[0]))
     # one claim is one call into C, which the interpreter lock keeps whole,
     # so no two claims get the same task
-    claim = count(0 if first is None else -1).__next__
-    got = []
+    claim = count().__next__
+    got = [None] * len(tasks)
 
-    def work(mine):
+    def work(scratch):
         i = claim()
-        while i < n_blocks:
-            if i < 0:
-                got.append(first(*first_args))
-            else:
-                task(mine[i], *args)
+        while i < len(tasks):
+            got[i] = tasks[i](scratch)
             i = claim()
 
-    _together(helper, lambda: work(views[0]), lambda: work(views[1]))
-    return got[0] if got else None
+    future = helper.submit(contextvars.copy_context().run, work, ws.block_scratch[1])
+    try:
+        work(ws.block_scratch[0])
+    finally:
+        future.exception()  # wait: the helper may still be writing shared buffers
+    future.result()
+    return got
 
 
 def feature_dim(R: int) -> int:
@@ -425,15 +414,13 @@ class _Workspace:
     N x (L+D) array is ``stacked``, the right-hand side [Ybar | C]: its
     projection W^T [Ybar | C] is one product over the pixels, and
     projecting Ybar and C apart would change its bits.  Sigma^-1 C is an
-    N x D array (``SiC``); Sigma^-1 [Ybar | C] is never held whole.  Each
-    worker back-substitutes one block of it at a time into a block scratch
-    of its own, sized for the largest block, which in the residual phase
-    holds the block's Ybar before it is copied into ``stacked``.
-    ``residual_views[k]`` and ``fused_views[k]`` hold worker
-    k's views of every block for those two phases.  Worker 0 is the calling
-    thread; the helper's scratch and views (worker 1) are made the first
-    time the helper runs (:meth:`add_helper`), so a fit that never splits
-    never holds them.  The views read the latents from ``X``."""
+    N x D array (``SiC``); Sigma^-1 [Ybar | C] is never held whole.
+    ``block_scratch[k]`` is worker k's block scratch, sized for the largest
+    block: each task of a row-wise phase (see :func:`_run`) writes its
+    block's Ybar, or its block of Sigma^-1 [Ybar | C], there and slices
+    everything else it needs from the workspace's arrays.  Worker 0 is the
+    calling thread; the helper's scratch (worker 1) is made the first time
+    the helper runs, so a fit that never splits never holds it."""
 
     def __init__(self, Yc: np.ndarray, R: int):
         n_pixels, L = Yc.shape
@@ -450,70 +437,46 @@ class _Workspace:
         self.Ybar = self.stacked[:, :L]
         # per row, Ybar . Sigma^-1 Ybar and |Sigma^-1 Ybar|^2
         self.Ybar_SiY, self.SiY_sq = np.empty((2, n_pixels))
-        blocks = _split_rows(n_pixels, max(2, ROW_BLOCK_BYTES // (8 * (L + D))))
         self.SiC = np.empty((n_pixels, D))
-        self.row_slices = blocks
-        self.block_shape = (max(rows.stop - rows.start for rows in blocks), L + D)
-        self.residual_views, self.fused_views = [], []
-        self._add_worker()
-
-    def add_helper(self) -> None:
-        """Make the helper's block scratch and views, once."""
-        if len(self.fused_views) == 1:
-            self._add_worker()
-
-    def _add_worker(self) -> None:
-        L = self.Ybar.shape[1]
-        scratch = np.empty(self.block_shape)
-        residual, fused = [], []
-        for rows in self.row_slices:
-            size = rows.stop - rows.start
-            # (Yc, C, Ybar scratch, stacked Ybar, stacked C)
-            residual.append((self.Yc[rows], self.C[rows], scratch.reshape(-1)[: size * L].reshape(size, L),
-                             self.stacked[rows, :L], self.stacked[rows, L:]))
-            SiB = scratch[:size]
-            # (rows, [Ybar | C], Ybar, Sigma^-1 [Ybar | C], Sigma^-1 Ybar,
-            #  Sigma^-1 C, Gc, scratch, GX, X, LLE term, the two row sums)
-            fused.append((rows, self.stacked[rows], self.Ybar[rows], SiB, SiB[:, :L], self.SiC[rows],
-                          self.Gc[rows], self.scratch[rows], self.GX[rows], self.X[rows],
-                          self.lle[rows], self.Ybar_SiY[rows], self.SiY_sq[rows]))
-        self.residual_views.append(residual)
-        self.fused_views.append(fused)
+        self.row_slices = _split_rows(n_pixels, max(2, ROW_BLOCK_BYTES // (8 * (L + D))))
+        self.block_scratch = [np.empty((max(rows.stop - rows.start for rows in self.row_slices), L + D))]
 
 
-def _residual(view, basis_t) -> None:
-    """Ybar = Yc - C P^T and the stacked right-hand side [Ybar | C] over one
-    block's residual view.  Ybar is subtracted in the worker's contiguous
-    block scratch and then copied: numpy's subtraction into the strided
-    column block of ``stacked`` measured 1.1-1.6x slower on 400- and
-    789-row blocks, which sit in cache."""
-    Yc_b, C_b, Ybar_b, stacked_y, stacked_c = view
-    np.matmul(C_b, basis_t, out=Ybar_b)
-    np.subtract(Yc_b, Ybar_b, out=Ybar_b)
-    stacked_y[...] = Ybar_b
-    stacked_c[...] = C_b
+def _residual(ws: _Workspace, rows: slice, scratch: np.ndarray, basis_t) -> None:
+    """Ybar = Yc - C P^T and the stacked right-hand side [Ybar | C] over the
+    block ``rows``.  Ybar is subtracted in the worker's contiguous block
+    scratch and then copied: numpy's subtraction into the strided column
+    block of ``stacked`` measured 1.1-1.6x slower on 400- and 789-row
+    blocks, which sit in cache."""
+    C = ws.C[rows]
+    size, L = rows.stop - rows.start, basis_t.shape[1]
+    Ybar = scratch.reshape(-1)[: size * L].reshape(size, L)
+    np.matmul(C, basis_t, out=Ybar)
+    np.subtract(ws.Yc[rows], Ybar, out=Ybar)
+    ws.stacked[rows, :L] = Ybar
+    ws.stacked[rows, L:] = C
 
 
-def _fused(view, wb, inner, want_value, through_ybar, s2L, Ut) -> None:
-    """One block of Sigma^-1 [Ybar | C] = ([Ybar | C] - W inner) / sigma2,
-    back-substituted into the worker's block scratch, and what the
+def _fused(ws: _Workspace, rows: slice, scratch: np.ndarray, wb, inner, want_value,
+           through_ybar, s2L, Ut) -> None:
+    """The block ``rows`` of Sigma^-1 [Ybar | C] = ([Ybar | C] - W inner) /
+    sigma2, back-substituted into the worker's block scratch, and what the
     evaluation takes from it while it is in cache: the block's rows of
-    Ybar . Sigma^-1 Ybar (with ``want_value``) and, unless ``through_ybar``
-    is None (the value alone), of |Sigma^-1 Ybar|^2, of Gc = s2 L Sigma^-1 C
-    - Sigma^-1 Ybar (s2 Q + P) and of the latents' gradient before its
-    chain rule, GX = dE/dPsi dPsi/dX + gamma M^T M X with dE/dPsi = Gc U^T.
-    The block's C columns go unused, since Sigma^-1 C is formed whole
-    before Q; yet back-substituting the Ybar columns alone, a strided view
-    of ``stacked``, measured 8-23% slower on 40- to 714-row blocks than the
-    whole contiguous block, which numpy subtracts as one flat array."""
-    rows, B, Ybar, SiB, SiY, SiC, Gc, Gpsi, GX, X, lle, Ybar_SiY, SiY_sq = view
-    wb._back_substitute(B, inner, SiB, rows)
+    Ybar . Sigma^-1 Ybar (with ``want_value``), of |Sigma^-1 Ybar|^2, of
+    Gc = s2 L Sigma^-1 C - Sigma^-1 Ybar (s2 Q + P) and of the latents'
+    gradient before its chain rule, GX = dE/dPsi dPsi/dX + gamma M^T M X
+    with dE/dPsi = Gc U^T.  The block's C columns go unused, since
+    Sigma^-1 C is formed whole before Q; yet back-substituting the Ybar
+    columns alone, a strided view of ``stacked``, measured 8-23% slower on
+    40- to 714-row blocks than the whole contiguous block, which numpy
+    subtracts as one flat array."""
+    L = through_ybar.shape[0]
+    SiY = wb._back_substitute(ws.stacked[rows], inner, scratch[: rows.stop - rows.start], rows)[:, :L]
     if want_value:
-        np.einsum("ij,ij->i", Ybar, SiY, out=Ybar_SiY)
-    if through_ybar is None:
-        return
-    np.einsum("ij,ij->i", SiY, SiY, out=SiY_sq)
-    np.multiply(s2L, SiC, out=Gc)
+        np.einsum("ij,ij->i", ws.Ybar[rows], SiY, out=ws.Ybar_SiY[rows])
+    np.einsum("ij,ij->i", SiY, SiY, out=ws.SiY_sq[rows])
+    Gc, Gpsi, X, GX = ws.Gc[rows], ws.scratch[rows], ws.X[rows], ws.GX[rows]
+    np.multiply(s2L, ws.SiC[rows], out=Gc)
     Gc -= np.matmul(SiY, through_ybar, out=Gpsi)
     np.matmul(Gc, Ut, out=Gpsi)
     R = X.shape[1]
@@ -521,7 +484,7 @@ def _fused(view, wb, inner, want_value, through_ybar, s2L, Ut) -> None:
     for k, (i, j) in enumerate(feature_pairs(R)):
         GX[:, i] += Gpsi[:, R + k] * X[:, j]
         GX[:, j] += Gpsi[:, R + k] * X[:, i]
-    GX += lle
+    GX += ws.lle[rows]
 
 
 def _lle_terms(ctx: ModelContext, X, want_value: bool, out) -> float:
@@ -529,10 +492,8 @@ def _lle_terms(ctx: ModelContext, X, want_value: bool, out) -> float:
     sum of squares |M X|^2 for the value (nan without ``want_value``); M
     is the LLE residual operator."""
     np.multiply(ctx.gamma, ctx._resid_gram @ X, out=out)
-    return _lle_sum(ctx, X) if want_value else np.nan
-
-
-def _lle_sum(ctx: ModelContext, X) -> float:
+    if not want_value:
+        return np.nan
     Mx = ctx._resid_op @ X
     return float((Mx * Mx).sum())
 
@@ -545,27 +506,27 @@ def _in_order(row_sums: np.ndarray) -> float:
     return float(np.add.accumulate(row_sums, out=row_sums)[-1])
 
 
-def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
-              want_value: bool = True, grad: np.ndarray | None = None):
+def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace, want_value: bool,
+              grad: np.ndarray):
     """Objective at the latents in ``ws.X`` and the raw U, s2 and sigma2, or
     ``None`` outside the prior bounds.
 
     ``grad``, a vector laid out like :func:`pack`, receives the gradient over
-    (free latents, U, log s2, log sigma2) when given.  Without
-    ``want_value`` the terms only the value needs (the LLE residual, the
-    log-determinant and the data fit) are skipped and nan is returned.
-    The N x D and N x (L+D) intermediates live in ``ws``.
+    (free latents, U, log s2, log sigma2).  Without ``want_value`` the terms
+    only the value needs (the LLE residual, the log-determinant and the data
+    fit) are skipped and nan is returned.  The N x D and N x (L+D)
+    intermediates live in ``ws``.
 
     The evaluation runs in phases:
 
-    1. Psi and C = Psi U, whole; then the residual phase over the row
-       blocks, Ybar = Yc - C P^T and the stacked right-hand side
+    1. Psi and C = Psi U, whole; then the residual phase, one task per row
+       block, Ybar = Yc - C P^T and the stacked right-hand side
        B = [Ybar | C], with building the ``WoodburySolver`` (C^T C, its
        Cholesky factor, the thin SVD of C) as one more task.
     2. inner = diag(1 - sigma2 / evals) W^T B, one product over the
        pixels, and Sigma^-1 C = (C - W inner[:, L:]) / sigma2, whole.  Then
-       Q = Ybar^T Sigma^-1 C while the LLE prior's terms are formed.
-    3. The fused phase over the row blocks: each block of Sigma^-1 B =
+       two tasks: Q = Ybar^T Sigma^-1 C, and the LLE prior's terms.
+    3. The fused phase, one task per row block: each block of Sigma^-1 B =
        (B - W inner) / sigma2 goes into a block scratch and, while it is in
        cache, yields the block's rows of the data sums, of Gc and of GX
        (see :func:`_fused`).
@@ -580,13 +541,13 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     each other.  So the result does not depend on ``ROW_BLOCK_BYTES``, and
     Sigma^-1 B is bit for bit ``WoodburySolver.solve(B)``.
 
-    When :func:`_second_worker` allows one, the calling thread and the
-    helper thread claim the tasks of phases 1 and 3 from one counter (see
-    :func:`_share`), and the helper forms the LLE terms while this thread
-    forms Q.  Each task is the same call on the same operands whichever
-    thread runs it: a BLAS or LAPACK call on the helper is the same
-    one-BLAS-thread call as in this thread, since the helper runs only with
-    one BLAS thread.  So the result does not depend on the helper either.
+    The tasks of phases 1-3 go through :func:`_run`: when
+    :func:`_second_worker` allows one, the calling thread and the helper
+    thread claim them from one counter.  Each task is the same call on the
+    same operands whichever thread runs it: a BLAS or LAPACK call on the
+    helper is the same one-BLAS-thread call as in this thread, since the
+    helper runs only with one BLAS thread.  So the result does not depend
+    on the helper either.
     """
     if not _within_bounds(U, s2, sigma2):
         return None
@@ -596,14 +557,10 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     Psi = psi_batch(X, out=ws.Psi)
     C = np.matmul(Psi, U, out=ws.C)
     helper = _second_worker(len(ws.row_slices))
-    if helper is not None:
-        ws.add_helper()
-    wb = _share(helper, _residual, ws.residual_views, (ctx.pbar.basis.T,),
-                WoodburySolver, (C, s2, sigma2))
+    basis_t = ctx.pbar.basis.T
+    wb = _run(helper, ws, [lambda scratch: WoodburySolver(C, s2, sigma2)] + [
+        lambda scratch, rows=rows: _residual(ws, rows, scratch, basis_t) for rows in ws.row_slices])[0]
     inner = wb._inner(ws.stacked)
-    if grad is None:
-        _share(helper, _fused, ws.fused_views, (wb, inner, True, None, None, None))
-        return _value(L, wb, ws, ctx.gamma, _lle_sum(ctx, X))
     SiC = wb._back_substitute(C, inner[:, L:], ws.SiC)
     # Q = Ybar^T SiC (L x D), formed as the transpose of SiC^T Ybar: the
     # same single product over the pixels, which OpenBLAS runs 2-2.5x
@@ -611,11 +568,13 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     # orders summing alike; TestRowBlocks pins that on the shipped shapes,
     # so a BLAS that rounds them differently fails there.  The copy keeps Q
     # C-ordered
-    Q, lle_sum = _together(helper, lambda: (SiC.T @ ws.Ybar).T.copy(),
-                           lambda: _lle_terms(ctx, X, want_value, ws.lle))
+    Q, lle_sum = _run(helper, ws, [lambda scratch: (SiC.T @ ws.Ybar).T.copy(),
+                                   lambda scratch: _lle_terms(ctx, X, want_value, ws.lle)])
     # dE/dC through Sigma and through Ybar, fused into one N x L product
-    through_ybar = s2 * Q + ctx.pbar.basis
-    _share(helper, _fused, ws.fused_views, (wb, inner, want_value, through_ybar, s2 * L, U.T))
+    through_ybar, s2L, Ut = s2 * Q + ctx.pbar.basis, s2 * L, U.T
+    _run(helper, ws, [
+        lambda scratch, rows=rows: _fused(ws, rows, scratch, wb, inner, want_value, through_ybar, s2L, Ut)
+        for rows in ws.row_slices])
     g_xfree, g_u, g_logs = _blocks(grad, n, R)
     np.matmul(Psi.T, ws.Gc, out=g_u)
     # chain rule through x_R = 1 - sum of the free coordinates
@@ -625,35 +584,33 @@ def _evaluate(U, s2, sigma2, ctx: ModelContext, ws: _Workspace,
     g_sigma2 = 0.5 * L * wb.trace_inv() - 0.5 * _in_order(ws.SiY_sq)
     g_logs[0] = s2 * g_s2
     g_logs[1] = sigma2 * g_sigma2
-    return _value(L, wb, ws, ctx.gamma, lle_sum) if want_value else np.nan
+    if not want_value:
+        return np.nan
+    return 0.5 * L * wb.logdet() + 0.5 * _in_order(ws.Ybar_SiY) + 0.5 * ctx.gamma * lle_sum
 
 
-def _value(L, wb, ws, gamma, lle_sum) -> float:
-    """The objective from its three terms: the log-determinant, the data
-    fit from the fused phase's row sums, and the LLE prior."""
-    return 0.5 * L * wb.logdet() + 0.5 * _in_order(ws.Ybar_SiY) + 0.5 * gamma * lle_sum
-
-
-def _state_workspace(state: LatentState, ctx: ModelContext) -> _Workspace:
-    ws = _Workspace(ctx.Yc, state.n_endmembers)
+def _state_evaluate(state: LatentState, ctx: ModelContext, want_value: bool):
+    """``_evaluate`` at ``state`` in a workspace of its own: the value (or
+    None outside the prior bounds) and the packed gradient."""
+    n, R = state.X.shape
+    ws = _Workspace(ctx.Yc, R)
     ws.X[...] = state.X
-    return ws
+    grad = np.empty(n * (R - 1) + feature_dim(R) ** 2 + 2)
+    return _evaluate(state.U, state.s2, state.sigma2, ctx, ws, want_value, grad), grad
 
 
 def neg_log_posterior(state: LatentState, ctx: ModelContext) -> float:
     """Negative log posterior up to an additive constant."""
-    value = _evaluate(state.U, state.s2, state.sigma2, ctx, _state_workspace(state, ctx))
+    value, _ = _state_evaluate(state, ctx, True)
     return np.inf if value is None else value
 
 
 def grad_neg_log_posterior(state: LatentState, ctx: ModelContext) -> dict:
     """Analytic gradient blocks over (free latents, U, log s2, log sigma2)."""
-    n, R = state.X.shape
-    grad = np.empty(n * (R - 1) + feature_dim(R) ** 2 + 2)
-    ws = _state_workspace(state, ctx)
-    if _evaluate(state.U, state.s2, state.sigma2, ctx, ws, False, grad) is None:
+    value, grad = _state_evaluate(state, ctx, False)
+    if value is None:
         raise ValueError("state outside the prior bounds")
-    X_free, U, logs = _blocks(grad, n, R)
+    X_free, U, logs = _blocks(grad, *state.X.shape)
     return {"X_free": X_free, "U": U, "log_s2": float(logs[0]), "log_sigma2": float(logs[1])}
 
 
@@ -694,16 +651,16 @@ def objective_function(ctx: ModelContext, n_pixels: int, R: int):
     core breaks down, the value is inf and the gradient all nan.  Every
     evaluation of one callable reuses one set of buffers and one split into
     row blocks of ``ROW_BLOCK_BYTES``, worked out by ``_Workspace`` when the
-    callable is made, so the constant is read then; ``_evaluate`` runs each
-    row-wise phase over those blocks, and back-substitutes Sigma^-1
-    [Ybar | C] one block at a time into a block-sized scratch, so no
-    N x (L+D) solve is held.  Each returned gradient is a fresh array.  Each
-    evaluation asks once whether the helper thread may claim row blocks
+    callable is made, so the constant is read then; ``_evaluate`` makes one
+    task per row block for each row-wise phase, and back-substitutes
+    Sigma^-1 [Ybar | C] one block at a time into a block-sized scratch, so
+    no N x (L+D) solve is held.  Each returned gradient is a fresh array.
+    Each evaluation asks once whether the helper thread may claim tasks
     beside the calling thread (see :func:`_second_worker`; it needs four or
-    more blocks); the callable has no setting for it, and makes the
-    helper's block scratch the first time the helper runs.  Values and
+    more blocks); the callable has no setting for it, and :func:`_run` makes
+    the helper's block scratch the first time the helper runs.  Values and
     gradients depend neither on the block size nor on which worker takes
-    which block.  One callable is not for concurrent use: its evaluations
+    which task.  One callable is not for concurrent use: its evaluations
     share the buffers.
     """
     ws = _Workspace(ctx.Yc, R)

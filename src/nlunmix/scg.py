@@ -70,8 +70,13 @@ def scg(
     Non-finite trial objectives are treated as rejected steps, which grow
     the scale and shrink the next step; after 20 consecutive rejections the
     run aborts with a diagnostic.  A non-finite start raises
-    :class:`ScgStartError`.
+    :class:`ScgStartError`; a negative ``max_iter`` or a NaN or negative
+    ``tol`` raises ``ValueError`` before ``fg`` is called.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0 (inf allowed), got {tol}")
     w = np.array(w0, float)
     f, g = fg(w)
     if not (np.isfinite(f) and np.all(np.isfinite(g))):

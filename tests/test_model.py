@@ -554,6 +554,20 @@ def record_workspaces(monkeypatch) -> list:
     return made
 
 
+def record_workers(monkeypatch) -> list:
+    """The worker of each row-block task the objective runs from here on, in
+    order: 0 for the calling thread and 1 for the helper, told by the block
+    scratch the task was given."""
+    workers = []
+    for phase in ("_residual", "_fused"):
+        def claimed(ws, rows, scratch, *args, _task=getattr(model, phase)):
+            workers.append(next(k for k, mine in enumerate(ws.block_scratch) if scratch is mine))
+            return _task(ws, rows, scratch, *args)
+
+        monkeypatch.setattr(model, phase, claimed)
+    return workers
+
+
 def _run_now(fn, args) -> Future:
     future = Future()
     try:
@@ -564,23 +578,29 @@ def _run_now(fn, args) -> Future:
 
 
 class EagerHelper:
-    """Runs each task as it is handed over, before the caller goes on: the
-    helper claims every block, and its LLE terms come before Q."""
+    """Runs its work as it is handed over, before the caller goes on: the
+    helper claims every task."""
 
     def submit(self, fn, *args):
         return _run_now(fn, args)
 
 
 class DeferredHelper:
-    """Runs each task only when the caller waits for it: the helper claims
-    no block, and its LLE terms come after Q."""
+    """Runs its work only when the caller waits for it: the helper claims
+    every task the caller has not run, and ``log`` records when each wait
+    starts and when the helper's work is done."""
+
+    def __init__(self):
+        self.log = []
 
     def submit(self, fn, *args):
-        ran = []
+        ran, log = [], self.log
 
         def done():
             if not ran:
+                log.append("wait")
                 ran.append(_run_now(fn, args))
+                log.append("helper done")
             return ran[0]
 
         class Later:
@@ -627,19 +647,12 @@ class TestSecondWorker:
     @pytest.mark.parametrize("rows", [7, 64])
     @pytest.mark.parametrize("helper", ["eager", "deferred", "thread"])
     def test_no_assignment_of_blocks_changes_a_bit(self, rows, helper, monkeypatch):
-        # the helper claims every block, no block, or what the real thread
+        # the helper claims every task, no task, or what the real thread
         # gets; values and gradients equal those of one worker to the bit
         ctx, ws = self._setup(48, rows, monkeypatch)
         alone = self._entries(ctx, ws, False, monkeypatch)
         made = record_workspaces(monkeypatch)
-        workers = []
-        for phase in ("_residual", "_fused"):
-            def claimed(view, *args, _task=getattr(model, phase), _phase=phase):
-                views = made[-1].residual_views if _phase == "_residual" else made[-1].fused_views
-                workers.append(next(k for k in (0, 1) if any(v is view for v in views[k])))
-                return _task(view, *args)
-
-            monkeypatch.setattr(model, phase, claimed)
+        workers = record_workers(monkeypatch)
         fake = {"eager": EagerHelper(), "deferred": DeferredHelper(),
                 "thread": model._helper_thread()}[helper]
         monkeypatch.setattr(model, "_second_worker", lambda n_blocks: fake)
@@ -699,15 +712,52 @@ class TestSecondWorker:
         got = fg(w)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
+    def test_caller_failure_leaves_after_the_helpers_work(self, monkeypatch):
+        # a task fails in the calling thread while the helper holds the rest
+        # of the phase, which writes the shared buffers: the exception leaves
+        # fg only once the helper's work is done
+        ctx, (w, _, _) = self._setup(45, 7, monkeypatch)
+        force_second_worker(monkeypatch, False)
+        fg = objective_function(ctx, self.n, self.R)
+        want = fg(w)
+        helper = DeferredHelper()
+        monkeypatch.setattr(model, "_second_worker", lambda n_blocks: helper)
+        fused = model._fused
+
+        def fails_here(ws, rows, scratch, *args):
+            if scratch is ws.block_scratch[0]:
+                helper.log.append("caller fails")
+                raise RuntimeError("caller task failed")
+            fused(ws, rows, scratch, *args)
+            helper.log.append(rows)
+
+        monkeypatch.setattr(model, "_fused", fails_here)
+        with pytest.raises(RuntimeError, match="caller task failed"):
+            fg(w)
+        blocks = model._Workspace(ctx.Yc, self.R).row_slices
+        # the residual phase and Q beside the LLE terms leave the helper
+        # nothing; in the fused phase the caller fails on the first block
+        assert helper.log == ["wait", "helper done"] * 2 + ["caller fails", "wait", *blocks[1:], "helper done"]
+        monkeypatch.setattr(model, "_fused", fused)
+        got = fg(w)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
     def test_helper_runs_in_the_callers_context(self):
         # numpy's error state reaches the helper, as it reaches inline code
-        def over():
-            return np.geterr()["over"]
-
+        ws = model._Workspace(np.zeros((self.n, self.l)), self.R)
         helper = model._helper_thread()
         for mode in ("raise", "ignore"):
+            both = threading.Barrier(2, timeout=60)
+
+            def over(scratch):
+                both.wait()  # each worker holds one task, so the helper runs one
+                return scratch, np.geterr()["over"]
+
             with np.errstate(over=mode):
-                assert model._together(helper, over, over) == (mode, mode)
+                got = model._run(helper, ws, [over, over])
+            assert len(ws.block_scratch) == 2
+            assert {id(scratch) for scratch, _ in got} == {id(mine) for mine in ws.block_scratch}
+            assert [got_mode for _, got_mode in got] == [mode, mode]
 
     def test_callers_sharing_the_helper_get_their_own_results(self, monkeypatch):
         # four calling threads, each with its own callable, queue their
@@ -746,20 +796,25 @@ class TestSecondWorker:
         # each worker back-substitutes into, and forms Ybar in, a block
         # scratch of its own, apart from every other buffer of the workspace
         for rows in (7, 64):
-            monkeypatch.setattr(model, "ROW_BLOCK_BYTES", rows * 8 * (self.l + feature_dim(self.R)))
-            ws = model._Workspace(np.zeros((self.n, self.l)), self.R)
-            ws.add_helper()
-            assert len(ws.row_slices) >= 2 and len(ws.fused_views) == 2
+            ctx, (w, _, _) = self._setup(49, rows, monkeypatch)
+            made = record_workspaces(monkeypatch)
+            workers = record_workers(monkeypatch)
+            fg = objective_function(ctx, self.n, self.R)
+            for worker, fake in enumerate((DeferredHelper(), EagerHelper())):
+                monkeypatch.setattr(model, "_second_worker", lambda n_blocks, fake=fake: fake)
+                workers.clear()
+                fg(w)
+                assert set(workers) == {worker}
+            ws = made[-1]
+            assert len(ws.row_slices) >= 2 and len(ws.block_scratch) == 2
             shared = [ws.X, ws.Psi, ws.C, ws.SiC, ws.Gc, ws.scratch, ws.GX, ws.lle, ws.stacked,
                       ws.Ybar_SiY, ws.SiY_sq]
-            mine, theirs = (
-                [view[3] for view in ws.fused_views[k]] + [view[2] for view in ws.residual_views[k]]
-                for k in (0, 1))
-            for a in mine:
-                assert not any(np.shares_memory(a, b) for b in theirs + shared)
-            for b in theirs:
-                assert not any(np.shares_memory(b, c) for c in shared)
-                assert b.shape[0] <= rows
+            mine, theirs = ws.block_scratch
+            assert not any(np.shares_memory(mine, b) for b in [theirs] + shared)
+            assert not any(np.shares_memory(theirs, b) for b in shared)
+            assert mine.shape == theirs.shape == (max(b.stop - b.start for b in ws.row_slices),
+                                                  self.l + feature_dim(self.R))
+            assert mine.shape[0] <= rows
 
     def test_helper_scratch_only_when_the_split_runs(self, monkeypatch):
         # a fit at N = 4,000, L = 160 holds one N x (L+D) array, the stacked
@@ -769,10 +824,8 @@ class TestSecondWorker:
         made = record_workspaces(monkeypatch)
 
         def buffers(ws):
-            # the distinct arrays that the workspace and its views own
-            arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-            for views in ws.residual_views + ws.fused_views:
-                arrays += [a for view in views for a in view if isinstance(a, np.ndarray)]
+            # the distinct arrays that the workspace owns
+            arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)] + ws.block_scratch
             owners = {}
             for a in arrays:
                 while a.base is not None:
@@ -791,7 +844,7 @@ class TestSecondWorker:
             fg(w)
             ws = made[-1]
             alone = buffers(ws)
-            assert len(ws.fused_views) == 1
+            assert len(ws.block_scratch) == 1
             if n == 400:
                 assert len(ws.row_slices) == 1
                 continue
@@ -802,10 +855,10 @@ class TestSecondWorker:
             force_second_worker(monkeypatch, True)
             fg(w)
             split = buffers(ws)
-            assert len(ws.fused_views) == 2
+            assert len(ws.block_scratch) == 2
             extra = [a for a in split if all(a is not b for b in alone)]
-            assert [a.shape for a in extra] == [ws.block_shape]
-            assert ws.block_shape[0] < n / 4
+            assert [a.shape for a in extra] == [ws.block_scratch[0].shape]
+            assert ws.block_scratch[0].shape[0] < n / 4
 
     def test_when_the_helper_runs(self, monkeypatch):
         helper = model._helper_thread()

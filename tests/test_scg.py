@@ -62,6 +62,14 @@ class TestScgOnQuadratics:
         with pytest.raises(ScgError):
             scg(bad, np.zeros(2))
 
+    @pytest.mark.parametrize("limits", [{"max_iter": -1}, {"tol": np.nan}, {"tol": -1e-9}])
+    def test_bad_limits_raise_before_any_evaluation(self, limits):
+        def unused(w):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="must be >= 0"):
+            scg(unused, np.zeros(2), **limits)
+
     def test_rosenbrock(self):
         # non-quadratic sanity: banana function reaches its minimum at (1, 1)
         def fg(w):

@@ -13,6 +13,7 @@ from nlunmix.embed import lle_weights
 from nlunmix.metrics import rnmse, sam
 from nlunmix.pipeline import (
     ExperimentConfig,
+    PipelineError,
     endmembers_stage,
     parse_config,
     parse_kv,
@@ -103,8 +104,10 @@ def test_lambda_csv_bytes_and_round_trip(cli_chain):
         (lambda rows: ["0,-1,0.5"] + rows[1:], f"neighbour index -1 outside \\[0, {N}\\)"),
         (lambda rows: rows[:-1], f"pixel {N - 1} has {R - 1} weights, expected exactly {R}"),
         (lambda rows: ["0,1"] + rows[1:], "columns"),
+        (lambda rows: rows[:5 * R] + [rows[5 * R].rsplit(",", 1)[0] + ",nan"] + rows[5 * R + 1:],
+         "pixel 5 has a non-finite weight"),
     ],
-    ids=["pixel-index", "neighbour-index", "missing-row", "short-row"],
+    ids=["pixel-index", "neighbour-index", "missing-row", "short-row", "nan-weight"],
 )
 def test_bad_lambda_csv_fails_with_stage_and_file(cli_chain, tmp_path, capsys, edit, message):
     bad = tmp_path / "reduce"
@@ -115,6 +118,18 @@ def test_bad_lambda_csv_fails_with_stage_and_file(cli_chain, tmp_path, capsys, e
     err = capsys.readouterr().err
     assert err.startswith(f"nlunmix: [stage: fit] {bad / 'lambda.csv'}: ")
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("key", ["max_iter=-3", "tol=nan", "tol=-1e-9"])
+def test_bad_fit_limits_fail_in_the_fit_stage(key):
+    config, _ = parse_config(f"model=lmm\nr=3\nl=12\nn=30\nsigma2=1e-4\nseed=1\n{key}\n")
+    with pytest.raises(PipelineError, match=r"^\[stage: fit\] (max_iter|tol) must be >= 0"):
+        run_pipeline(config)
+
+
+def test_negative_max_iter_fails_the_fit_command(cli_chain, tmp_path, capsys):
+    assert run(["fit", "--in", cli_chain / "reduce", "--max-iter", -1, "--out", tmp_path / "fit"]) == 1
+    assert capsys.readouterr().err == "nlunmix: [stage: fit] max_iter must be >= 0, got -1\n"
 
 
 class TestParseKv:
